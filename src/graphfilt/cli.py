@@ -13,10 +13,10 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from . import experiments
 from .arma import ArmaFilter, arma_apply_direct, arma_from_json, arma_to_json
 from .cg import CgConfig, arma_apply_cg, trace_to_csv
 from .design import (
@@ -64,19 +64,6 @@ EXIT_DIVERGENCE = 5
 EXIT_SYMMETRY = 6
 
 _SHIFT_KINDS = {"adjacency": NORMALIZED_ADJACENCY, "laplacian": NORMALIZED_LAPLACIAN}
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphfilt-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _atomic_writer(path: str, write_fn) -> None:
@@ -191,6 +178,9 @@ def _resolve_response(spec: str, grid):
     if spec == "allpass":
         return np.ones(grid.n, dtype=complex)
     if spec.startswith("lowpass:"):
+        # experiments pulls in scipy.sparse.csgraph, which apply never needs
+        from . import experiments
+
         return experiments.ideal_lowpass(grid, float(spec.split(":", 1)[1]))
     if spec.startswith("file:"):
         h = _read_response_csv(spec.split(":", 1)[1])
@@ -236,7 +226,8 @@ def _cmd_gen_graph(args) -> int:
         graph = read_edge_csv(args.edges, directed=args.directed, one_based=args.one_based)
     else:
         raise ParameterError("choose one of --er, --knn, --edges")
-    _atomic_write(args.output, graph_to_json(graph) + "\n")
+    text = graph_to_json(graph) + "\n"
+    _atomic_writer(args.output, lambda tmp: Path(tmp).write_text(text))
     return EXIT_OK
 
 
@@ -247,7 +238,7 @@ def _cmd_design(args) -> int:
         if args.k is None:
             raise ParameterError("--method fir requires --k")
         design = fir_design(grid, h, args.k)
-        _atomic_write(args.output, fir_to_json(design.filter) + "\n")
+        text = fir_to_json(design.filter) + "\n"
         report = {
             "method": "fir", "order": args.k, "rnmse": design.rnmse,
             "imag_residue": design.imag_residue,
@@ -265,13 +256,15 @@ def _cmd_design(args) -> int:
                 grid=grid, h_hat=h, ar_order=args.p, ma_order=args.q
             )
             rep = run_method(args.method, problem)
-        _atomic_write(args.output, arma_to_json(rep.filter) + "\n")
+        text = arma_to_json(rep.filter) + "\n"
         report = json.loads(report_to_json(rep))
         report["ar_order"] = rep.filter.ar_order
         report["ma_order"] = rep.filter.ma_order
+    _atomic_writer(args.output, lambda tmp: Path(tmp).write_text(text))
     if args.report:
         report["config"] = _echo_config(args)
-        _atomic_write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        record = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _atomic_writer(args.report, lambda tmp: Path(tmp).write_text(record))
     return EXIT_OK
 
 
@@ -296,6 +289,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import experiments
+
     if args.kind == "universal":
         report = experiments.universal_study(
             grid_kind=args.grid,

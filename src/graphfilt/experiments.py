@@ -698,6 +698,7 @@ def interpolation_study(
     _, undirected = experiment_graphs(n=n, seed=seed)
     op = normalize(undirected, NORMALIZED_LAPLACIAN)
     dec = eigendecompose(op)
+    n_comp, labels = csgraph.connected_components(op.matrix, directed=False)
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(noise_variance)
     rows = []
@@ -707,7 +708,16 @@ def interpolation_study(
             x = smooth_signal(dec, op.kind, rng, keep_frac=keep_frac)
             noisy = x + rng.normal(0.0, sigma, n)
             for frac in known_fracs:
-                known = rng.permutation(n)[: max(1, round(frac * n))]
+                count = max(1, round(frac * n))
+                if count < n_comp:
+                    raise SingularSystemError(
+                        f"{count} known nodes cannot cover {n_comp} components"
+                    )
+                # a draw that leaves a component unobserved makes the
+                # interpolation system singular: draw again
+                known = rng.permutation(n)[:count]
+                while np.unique(labels[known]).size < n_comp:
+                    known = rng.permutation(n)[:count]
                 mask = np.zeros(n, dtype=bool)
                 mask[known] = True
                 task = InterpolationTask(mask=mask, omega=omega)

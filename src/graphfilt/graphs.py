@@ -1,8 +1,8 @@
 """Graph construction, ingestion, and shift operators.
 
-Graphs are plain edge lists; the shift operator wraps a sparse matrix
-(normalized adjacency or normalized Laplacian) and is applied matrix-free
-at O(E) cost per product.
+Graphs store their arcs as numpy arrays; the shift operator wraps a sparse
+matrix (normalized adjacency or normalized Laplacian) and is applied
+matrix-free at O(E) cost per product.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,49 +33,89 @@ CUSTOM = "custom"
 _NILPOTENT_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Weighted graph as an edge list.
+    """Weighted graph stored as arc arrays.
 
-    Edges are (source, target, weight) with indices in [0, n). Undirected
-    graphs store both orientations of every edge.
+    Arc e runs from src[e] to dst[e] with weight w[e]; indices lie in
+    [0, n). Undirected graphs store both orientations of every edge, and
+    their adjacency, with repeated arcs summed, must be symmetric. The
+    arrays are read-only copies.
     """
 
     n: int
-    edges: tuple
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
     directed: bool
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"node count must be positive, got {self.n}")
-        object.__setattr__(self, "edges", tuple((int(i), int(j), float(w)) for i, j, w in self.edges))
-        seen = {}
-        for i, j, w in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ParameterError(f"edge ({i},{j}) out of range for n={self.n}")
-            if not math.isfinite(w):
-                raise ParameterError(f"edge ({i},{j}) has non-finite weight {w}")
-            seen[(i, j)] = w
-        if not self.directed:
-            for (i, j), w in seen.items():
-                if seen.get((j, i)) != w:
-                    raise ParameterError(
-                        f"undirected graph is missing the reverse of edge ({i},{j},{w})"
-                    )
+    def __init__(self, n: int, edges, directed: bool):
+        """Build a graph from an iterable of (source, target, weight) rows."""
+        try:
+            table = np.array(list(edges), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"edges must be rows of numbers: {exc}") from exc
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ParameterError("every edge needs 3 fields: source, target, weight")
+        self._set_arcs(n, table[:, 0], table[:, 1], table[:, 2], directed)
+
+    @classmethod
+    def from_arcs(cls, n: int, src, dst, w, directed: bool) -> Graph:
+        """Build a graph from parallel source, target and weight arrays."""
+        graph = cls.__new__(cls)
+        graph._set_arcs(n, src, dst, w, directed)
+        return graph
+
+    def _set_arcs(self, n, src, dst, w, directed) -> None:
+        if n < 1:
+            raise ParameterError(f"node count must be positive, got {n}")
+        src, dst, w = np.asarray(src), np.asarray(dst), np.array(w, dtype=float)
+        if not (w.ndim == 1 and src.shape == dst.shape == w.shape):
+            raise ParameterError("source, target and weight arrays must be 1-D of one length")
+        ends = np.stack([src, dst])
+        for bad, problem in (
+            (~np.all((ends >= 0) & (ends < n), axis=0), f"out of range for n={n}"),
+            (np.any(ends != np.floor(ends), axis=0), "has a fractional node index"),
+            (~np.isfinite(w), "has a non-finite weight"),
+        ):
+            if np.any(bad):
+                e = int(np.argmax(bad))
+                raise ParameterError(f"edge ({ends[0, e]},{ends[1, e]},{w[e]}) {problem}")
+        ends = ends.astype(np.int64)
+        for name, values in (("src", ends[0]), ("dst", ends[1]), ("w", w)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "directed", directed)
+        if not directed:
+            a = self.adjacency()
+            rows, cols = (a != a.T).nonzero()
+            if rows.size:
+                i, j = int(rows[0]), int(cols[0])
+                raise ParameterError(
+                    f"undirected graph is not symmetric: A[{i},{j}]={a[i, j]} "
+                    f"but A[{j},{i}]={a[j, i]}"
+                )
+
+    @property
+    def edges(self) -> tuple:
+        """(source, target, weight) tuples in stored order, built on each access."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
         """Number of stored directed arcs (undirected edges count twice)."""
-        return len(self.edges)
+        return self.src.size
 
     def adjacency(self) -> sp.csr_array:
-        """Sparse adjacency with A[i, j] = weight of edge i -> j."""
-        if not self.edges:
-            return sp.csr_array((self.n, self.n))
-        rows = [e[0] for e in self.edges]
-        cols = [e[1] for e in self.edges]
-        vals = [e[2] for e in self.edges]
-        return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(self.n, self.n)))
+        """Sparse adjacency with A[i, j] = summed weight of the arcs i -> j."""
+        # 32-bit indices, where n allows, halve the index bytes every shift
+        # product reads
+        index = np.int32 if self.n <= np.iinfo(np.int32).max else np.int64
+        ends = (self.src.astype(index), self.dst.astype(index))
+        return sp.csr_array(sp.coo_array((self.w, ends), shape=(self.n, self.n)))
 
 
 @dataclass(frozen=True)
@@ -107,13 +147,17 @@ def build_er_graph(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"link probability must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    linked = rng.random(len(iu)) < p
-    edges = []
-    for i, j in zip(iu[linked], ju[linked]):
-        edges.append((int(i), int(j), 1.0))
-        edges.append((int(j), int(i), 1.0))
-    return Graph(n=n, edges=tuple(edges), directed=False)
+    # Row i of the upper triangle draws its n-1-i pairs in one call; the
+    # calls continue one stream, so the pairs match one draw over all of them.
+    heads, tails = [], []
+    for i in range(n - 1):
+        linked = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        heads.append(np.full(linked.size, i))
+        tails.append(linked)
+    i, j = np.concatenate(heads), np.concatenate(tails)
+    src = np.stack([i, j], axis=1).ravel()
+    dst = np.stack([j, i], axis=1).ravel()
+    return Graph.from_arcs(n, src, dst, np.ones(src.size), directed=False)
 
 
 def build_knn_directed(coords, k: int) -> Graph:
@@ -151,19 +195,88 @@ def build_knn_directed(coords, k: int) -> Graph:
 
 def symmetrize_max(graph: Graph) -> Graph:
     """Undirected version of a graph, keeping the larger weight of each direction."""
-    best = {}
-    for i, j, w in graph.edges:
-        key = (min(i, j), max(i, j))
-        best[key] = max(best.get(key, 0.0), w)
-    edges = []
-    for (i, j), w in sorted(best.items()):
-        edges.append((i, j, w))
-        edges.append((j, i, w))
-    return Graph(n=graph.n, edges=tuple(edges), directed=False)
+    pair = np.minimum(graph.src, graph.dst) * graph.n + np.maximum(graph.src, graph.dst)
+    order = np.argsort(pair, kind="stable")
+    pair, w = pair[order], graph.w[order]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    best = np.maximum(np.maximum.reduceat(w, first), 0.0) if w.size else w
+    i, j = np.divmod(pair[first], graph.n)
+    src = np.stack([i, j], axis=1).ravel()
+    dst = np.stack([j, i], axis=1).ravel()
+    return Graph.from_arcs(graph.n, src, dst, np.repeat(best, 2), directed=False)
 
 
-def _spectral_radius(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(a)))) if a.size else 0.0
+def _spectral_radius(a: sp.csr_array) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
+
+
+# numpy adds a contiguous float row pairwise: a run of at most _PAIRWISE_RUN
+# items goes through _LANES interleaved accumulators, a longer run is split in
+# two at a multiple of _LANES and the halves' sums are added.
+_PAIRWISE_RUN = 128
+_LANES = 8
+
+
+def _pairwise_runs(n: int) -> np.ndarray:
+    """Leaf runs of numpy's pairwise sum over n items, by start.
+
+    Rows of the result are start, length and the run's node number in the
+    split tree, numbered as a binary heap (root 1).
+    """
+    runs, todo = [], [(0, n, 1)]
+    while todo:
+        start, length, node = todo.pop()
+        if length <= _PAIRWISE_RUN:
+            runs.append((start, length, node))
+        else:
+            half = length // 2 - (length // 2) % _LANES
+            todo += [(start, half, 2 * node), (start + half, length - half, 2 * node + 1)]
+    return np.array(sorted(runs)).T
+
+
+def _row_sums(a: sp.csr_array) -> np.ndarray:
+    """Row sums of a canonical CSR matrix, rounded as np.sum(a.toarray(), axis=1).
+
+    The rounding of a dense row sum depends on where the stored entries sit
+    in the row. Replaying numpy's order on the stored entries alone (a zero
+    changes no partial sum) keeps the sparse normalizations bit-identical
+    to the dense ones at O(nnz log n) cost.
+    """
+    start, length, node = _pairwise_runs(a.shape[1])
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    run = np.repeat(np.arange(start.size), length)[a.indices]
+    offset = a.indices - start[run]
+    in_lanes = offset < length[run] - length[run] % _LANES
+    new_pair = np.diff(rows * start.size + run, prepend=-1) != 0
+    pair = np.cumsum(new_pair) - 1
+    first = np.flatnonzero(new_pair)
+
+    # ufunc.at adds repeated indices one by one in entry order, which is
+    # column order: each lane, then the tail after the lanes, is summed
+    # left to right as numpy does
+    lanes = np.zeros((first.size, _LANES))
+    lane = pair[in_lanes] * _LANES + offset[in_lanes] % _LANES
+    np.add.at(lanes.reshape(-1), lane, a.data[in_lanes])
+    total = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + (
+        (lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])
+    )
+    np.add.at(total, pair[~in_lanes], a.data[~in_lanes])
+
+    # add sibling runs' sums up the split tree, deepest level first
+    rows, node = rows[first], node[run[first]]
+    depth = np.frexp(node)[1] - 1
+    while depth.size and depth.max() > 0:
+        deepest = depth == depth.max()
+        node[deepest] //= 2
+        depth[deepest] -= 1
+        left = np.flatnonzero((rows[1:] == rows[:-1]) & (node[1:] == node[:-1]))
+        total[left] += total[left + 1]
+        keep = np.ones(rows.size, dtype=bool)
+        keep[left + 1] = False
+        rows, node, depth, total = rows[keep], node[keep], depth[keep], total[keep]
+    sums = np.zeros(a.shape[0])
+    sums[rows] = total
+    return sums
 
 
 def normalize(graph: Graph, kind: str) -> ShiftOperator:
@@ -174,33 +287,43 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
     D^{-1/2} (D - A) D^{-1/2} and requires an undirected graph with no
     isolated nodes.
     """
-    a = graph.adjacency().toarray()
+    a = graph.adjacency()
     if kind == NORMALIZED_ADJACENCY:
         radius = _spectral_radius(a)
-        row_sum = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+        row_sum = float(np.max(_row_sums(abs(a))))
         fallback = radius <= _NILPOTENT_REL_TOL * max(row_sum, 1.0)
         norm = row_sum if fallback else radius
         if norm <= 0.0:
             raise ZeroNormError("adjacency matrix is zero; nothing to normalize")
         return ShiftOperator(
             kind=kind,
-            matrix=sp.csr_array(a / norm),
+            matrix=_canonical(a, a.data / norm),
             spectral_norm=norm,
             norm_fallback=fallback,
         )
     if kind == NORMALIZED_LAPLACIAN:
         if graph.directed:
             raise ParameterError("normalized Laplacian requires an undirected graph")
-        deg = np.sum(a, axis=1)
+        deg = _row_sums(a)
         if np.any(deg <= 0.0):
             bad = int(np.argmin(deg))
             raise ZeroDegreeError(f"node {bad} has zero degree")
         dinv = 1.0 / np.sqrt(deg)
-        lap = np.diag(deg) - a
-        s = (dinv[:, None] * lap) * dinv[None, :]
-        s = (s + s.T) / 2.0
-        return ShiftOperator(kind=kind, matrix=sp.csr_array(s), spectral_norm=1.0)
+        lap = sp.csr_array(sp.diags_array(deg) - a)
+        rows = np.repeat(np.arange(graph.n), np.diff(lap.indptr))
+        s = _canonical(lap, (dinv[rows] * lap.data) * dinv[lap.indices])
+        s = s + s.T
+        return ShiftOperator(kind=kind, matrix=_canonical(s, s.data / 2.0), spectral_norm=1.0)
     raise ParameterError(f"unknown shift kind {kind!r}")
+
+
+def _canonical(pattern: sp.csr_array, data: np.ndarray) -> sp.csr_array:
+    """CSR matrix with pattern's structure and new values, zeros dropped,
+    as converting the dense matrix would give."""
+    m = sp.csr_array((data, pattern.indices, pattern.indptr), shape=pattern.shape, copy=True)
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
 
 
 def custom_operator(matrix) -> ShiftOperator:
@@ -255,10 +378,12 @@ def normality_defect(op: ShiftOperator) -> float:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(graph: Graph) -> str:
+    order = np.lexsort((graph.w, graph.dst, graph.src))
+    columns = (graph.src[order].tolist(), graph.dst[order].tolist(), graph.w[order].tolist())
     payload = {
         "n": graph.n,
         "directed": graph.directed,
-        "edges": [[i, j, w] for i, j, w in sorted(graph.edges)],
+        "edges": [list(arc) for arc in zip(*columns)],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -268,11 +393,19 @@ def graph_from_json(text: str) -> Graph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CsvParseError(f"invalid graph JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CsvParseError("graph JSON must be an object")
     for key in ("n", "directed", "edges"):
         if key not in payload:
             raise CsvParseError(f"graph JSON missing key {key!r}")
-    edges = tuple((int(i), int(j), float(w)) for i, j, w in payload["edges"])
-    return Graph(n=int(payload["n"]), edges=edges, directed=bool(payload["directed"]))
+    try:
+        n = int(payload["n"])
+    except (TypeError, ValueError) as exc:
+        raise CsvParseError(f"graph JSON node count is not an integer: {exc}") from exc
+    try:
+        return Graph(n=n, edges=payload["edges"], directed=bool(payload["directed"]))
+    except ParameterError as exc:
+        raise CsvParseError(f"invalid graph JSON: {exc}") from exc
 
 
 def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphfilt import build_er_graph, eigendecompose, normalize
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
@@ -22,6 +23,27 @@ def power_iteration_radius(matrix, iterations=2000, seed=0):
         radius = norm
         v = w / norm
     return radius
+
+
+def dense_normalized_laplacian(graph):
+    """Dense D^{-1/2} (D - A) D^{-1/2}: the sparse normalize must match it bit for bit."""
+    a = graph.adjacency().toarray()
+    deg = np.sum(a, axis=1)
+    dinv = 1.0 / np.sqrt(deg)
+    lap = np.diag(deg) - a
+    s = (dinv[:, None] * lap) * dinv[None, :]
+    return sp.csr_array((s + s.T) / 2.0)
+
+
+def triu_er_edges(n, p, seed):
+    """Erdos-Renyi edge tuples drawn over the whole upper triangle at once."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    linked = rng.random(len(iu)) < p
+    edges = []
+    for i, j in zip(iu[linked], ju[linked]):
+        edges += [(int(i), int(j), 1.0), (int(j), int(i), 1.0)]
+    return tuple(edges)
 
 
 def random_pair_symmetric(grid, rng, scale=1.0):

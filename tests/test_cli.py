@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +176,37 @@ class TestApply:
         assert code == cli.EXIT_DIMENSION
 
 
+class TestMalformedGraph:
+    @pytest.mark.parametrize("edges", [
+        pytest.param([[0, 1], [1, 0]], id="two-fields"),
+        pytest.param([[0, "x", 1.0], [1, 0, 1.0]], id="non-numeric"),
+        pytest.param([[0, 1.5, 1.0], [1.5, 0, 1.0]], id="fractional-index"),
+    ])
+    def test_apply_exits_with_parse_code(self, tmp_path, capsys, edges):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 2, "directed": False, "edges": edges}))
+        filt = tmp_path / "f.json"
+        filt.write_text('{"type": "fir", "g": [1.0]}')
+        xin = tmp_path / "x.csv"
+        write_signal(xin, np.ones(2))
+        code = run(["apply", "--filter", str(filt), "--graph", str(graph),
+                    "--input", str(xin), "-o", str(tmp_path / "y.csv")])
+        assert code == cli.EXIT_PARSE
+        assert "graph JSON" in capsys.readouterr().err
+
+
+def test_import_leaves_experiments_unloaded():
+    # apply never needs the experiments module or the scipy.sparse.csgraph
+    # it imports, so loading the CLI must not pay for them
+    code = ("import sys, graphfilt.cli; "
+            "print([m for m in ('graphfilt.experiments', 'scipy.sparse.csgraph') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestErrorCodeMapping:
     def test_instability_maps_to_dedicated_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -243,6 +277,15 @@ class TestExperimentCommand:
         assert run(["experiment", "interpolation", "--trials", "2",
                     "-o", str(out)]) == 0
         assert out.exists()
+
+    def test_interpolation_redraws_until_every_component_is_observed(self, tmp_path):
+        # at seed 24 a 10% draw leaves a component of the k-NN graph unobserved
+        out = tmp_path / "report.csv"
+        assert run(["experiment", "interpolation", "--trials", "50", "--seed", "24",
+                    "-o", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(np.isfinite(float(r["rnmse_mean"])) for r in rows)
 
     def test_prediction_smoke(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -25,6 +25,7 @@ from graphfilt.experiments import (
     ideal_lowpass,
     interpolate,
     interpolation_matrix,
+    interpolation_study,
     predict,
     prediction_study,
     quantize_residual,
@@ -124,6 +125,12 @@ class TestInterpolate:
         task = InterpolationTask(mask=np.array([True, False, False, False]), omega=1.0)
         with pytest.raises(SingularSystemError):
             interpolate(op, np.ones(4), task, CgConfig())
+
+    def test_study_rejects_too_few_known_nodes_for_the_components(self):
+        # the seed-24 geometric graph has more than one component, so a
+        # single known node can never observe all of them
+        with pytest.raises(SingularSystemError):
+            interpolation_study(known_fracs=(0.01,), trials=1, seed=24)
 
     def test_cg_close_to_exact_inverse(self):
         op = laplacian_op()

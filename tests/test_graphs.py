@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphfilt import (
     DegenerateDistanceError,
@@ -30,11 +31,18 @@ from graphfilt.graphs import (
     normality_defect,
 )
 
-from conftest import power_iteration_radius
+from conftest import dense_normalized_laplacian, power_iteration_radius, triu_er_edges
 
 
 def two_path():
     return Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+
+
+def weighted_er(n, p, seed):
+    g = build_er_graph(n, p, seed)
+    weights = np.random.default_rng(seed).random((n, n))
+    w = weights[np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)]
+    return Graph.from_arcs(n, g.src, g.dst, w, directed=False)
 
 
 class TestErdosRenyi:
@@ -51,6 +59,10 @@ class TestErdosRenyi:
         undirected = g.edge_count // 2
         mean, sigma = 495.0, math.sqrt(495.0 * 0.9)
         assert abs(undirected - mean) <= 3 * sigma
+
+    @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (30, 0.2, 3), (257, 0.05, 7)])
+    def test_row_draws_match_one_draw_over_the_triangle(self, n, p, seed):
+        assert build_er_graph(n, p, seed).edges == triu_er_edges(n, p, seed)
 
     def test_deterministic_given_seed(self):
         assert build_er_graph(50, 0.3, 9).edges == build_er_graph(50, 0.3, 9).edges
@@ -139,6 +151,31 @@ class TestNormalize:
         with pytest.raises(ZeroDegreeError):
             normalize(g, NORMALIZED_LAPLACIAN)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: weighted_er(300, 0.05, 1), id="weighted-er"),
+        pytest.param(lambda: symmetrize_max(build_knn_directed(
+            np.random.default_rng(3).random((200, 2)) * 3, k=6)), id="knn-symmetrized"),
+        pytest.param(two_path, id="two-node"),
+    ])
+    def test_sparse_laplacian_bit_identical_to_dense(self, make):
+        g = make()
+        s, ref = normalize(g, NORMALIZED_LAPLACIAN).matrix, dense_normalized_laplacian(g)
+        assert np.array_equal(s.indptr, ref.indptr)
+        assert np.array_equal(s.indices, ref.indices)
+        assert np.array_equal(s.data, ref.data)
+
+    def test_laplacian_never_densifies(self, monkeypatch):
+        g = build_er_graph(500, 0.02, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("normalize built a dense matrix")
+
+        for cls in (sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        op = normalize(g, NORMALIZED_LAPLACIAN)
+        assert op.matrix.nnz == g.edge_count + g.n
+
     def test_laplacian_symmetric_to_machine_tolerance(self):
         g = build_er_graph(40, 0.3, 11)
         op = normalize(g, NORMALIZED_LAPLACIAN)
@@ -188,6 +225,18 @@ class TestGraphValidation:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ParameterError):
             Graph(n=2, edges=((0, 5, 1.0),), directed=True)
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ParameterError):
+            Graph(n=3, edges=((0, 1.5, 1.0),), directed=True)
+
+    def test_symmetry_checked_on_summed_adjacency(self):
+        # repeated arcs add up: two unit arcs 0 -> 1 mirror one arc 1 -> 0 of
+        # weight 2, while arcs of weights 1 and 2 do not
+        g = Graph(n=2, edges=((0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)), directed=False)
+        assert g.adjacency().toarray().tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        with pytest.raises(ParameterError):
+            Graph(n=2, edges=((0, 1, 1.0), (0, 1, 2.0), (1, 0, 2.0)), directed=False)
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ParameterError):
