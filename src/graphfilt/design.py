@@ -1,9 +1,12 @@
 """ARMA graph filter design: Prony least squares, Prony projection, and the
 iterative true-error minimizer, plus exhaustive order search.
 
-All three methods solve complex least-squares systems whose minimizers are
-real-valued whenever the desired response respects the grid's conjugate-pair
-symmetry; the imaginary residue is recorded and truncated.
+All three methods solve their least-squares systems in real arithmetic when
+the grid frequencies and the desired response are exactly real (uniform-real
+grids, spectra of symmetric shifts), and in complex arithmetic otherwise
+(disc grids, directed spectra). The complex minimizers are real-valued
+whenever the desired response respects the grid's conjugate-pair symmetry;
+their imaginary residue is recorded and truncated.
 """
 
 from __future__ import annotations
@@ -112,6 +115,11 @@ class DesignReport:
 
     iterate_filters keeps every iterate of the iterative method (index 0 is
     the initialization) so applications can reselect by their own metric.
+    imag_residue is the largest imaginary part truncated from a solved
+    coefficient vector. It is exactly 0.0 when the grid frequencies and the
+    desired response are real, because those designs solve in real arithmetic;
+    on complex grids it measures how far the solve strayed from real
+    coefficients.
     """
 
     filter: ArmaFilter
@@ -127,72 +135,117 @@ class DesignReport:
     iterate_filters: tuple = ()
 
 
-def _powers(grid: FrequencyGrid, cols: int) -> np.ndarray:
-    return grid.lambdas[:, None] ** np.arange(cols)[None, :]
+def _powers(lambdas: np.ndarray, cols: int) -> np.ndarray:
+    return lambdas[:, None] ** np.arange(cols)[None, :]
 
 
-def _guarded_response(a, b, psi_p, psi_q):
-    denom = psi_p @ a
-    num = psi_q @ b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resp = num / denom
-    return resp
+@dataclass(frozen=True)
+class _Basis:
+    """Vandermonde columns, target and error scale of one design, built once.
+
+    The arrays are float64 when the grid frequencies and the target are
+    exactly real, so every solve and product built on them runs in real
+    arithmetic; otherwise they are complex128.
+    """
+
+    psi_p: np.ndarray
+    psi_q: np.ndarray
+    psi_b: np.ndarray  # the numerator columns left free: psi_q, less b0 when pinned
+    h: np.ndarray
+    weights: np.ndarray | None
+    h_norm: float
+    abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
+
+    def score(self, alpha, beta):
+        """True RNMSE of the response beta/alpha, and its weighted error vector.
+
+        The RNMSE is inf when the response or the error norm is not finite;
+        the error vector w * (h - beta/alpha) may then hold non-finite entries.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            resp = beta / alpha
+            err = self.h - resp
+            if self.weights is not None:
+                err *= self.weights
+            if not np.isfinite(resp).all():
+                return float("inf"), err
+            if self.abs_h is None:
+                dev = err
+            else:
+                dev = self.abs_h - np.abs(resp)
+                if self.weights is not None:
+                    dev *= self.weights
+            val = np.linalg.norm(dev) / self.h_norm
+        return (float(val) if np.isfinite(val) else float("inf")), err
 
 
-def _error_vector(a, b, problem: DesignProblem, psi_p, psi_q):
-    """Weighted true-error vector; entries may be non-finite for bad filters."""
-    resp = _guarded_response(a, b, psi_p, psi_q)
-    with np.errstate(invalid="ignore"):
-        return problem.weight_vector * (problem.h_hat - resp)
-
-
-def _true_rnmse(a, b, problem: DesignProblem, psi_p, psi_q) -> float:
-    w = problem.weight_vector
-    with np.errstate(invalid="ignore", over="ignore"):
-        resp = _guarded_response(a, b, psi_p, psi_q)
-        if not np.all(np.isfinite(resp.real)) or not np.all(np.isfinite(resp.imag)):
-            return float("inf")
-        if problem.use_amplitude_error:
-            err = w * (np.abs(problem.h_hat) - np.abs(resp))
-        else:
-            err = w * (problem.h_hat - resp)
-        denom = np.linalg.norm(w * problem.h_hat)
-        val = np.linalg.norm(err) / denom
-    return float(val) if np.isfinite(val) else float("inf")
+def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
+    lam, h = problem.grid.lambdas, problem.h_hat
+    if problem.grid.all_real and not np.any(h.imag):
+        lam, h = lam.real, h.real.copy()
+    w = problem.weights
+    psi_q = _powers(lam, ma_cols)
+    return _Basis(
+        psi_p=_powers(lam, ar_cols),
+        psi_q=psi_q,
+        psi_b=psi_q[:, 1:] if problem.constrain_b0_zero else psi_q,
+        h=h,
+        weights=w,
+        h_norm=float(np.linalg.norm(h if w is None else w * h)),
+        abs_h=np.abs(h) if problem.use_amplitude_error else None,
+    )
 
 
 def true_error(filt: ArmaFilter, problem: DesignProblem) -> float:
     """RNMSE of the true design error h - b(lambda)/a(lambda)."""
-    psi_p = _powers(problem.grid, len(filt.a))
-    psi_q = _powers(problem.grid, len(filt.b))
-    return _true_rnmse(filt.a, filt.b, problem, psi_p, psi_q)
+    basis = _basis(problem, len(filt.a), len(filt.b))
+    return basis.score(basis.psi_p @ filt.a, basis.psi_q @ filt.b)[0]
 
 
 def modified_error(filt: ArmaFilter, problem: DesignProblem) -> float:
     """RNMSE of the denominator-multiplied (Prony) error h*a(lambda) - b(lambda)."""
-    psi_p = _powers(problem.grid, len(filt.a))
-    psi_q = _powers(problem.grid, len(filt.b))
+    psi_p = _powers(problem.grid.lambdas, len(filt.a))
+    psi_q = _powers(problem.grid.lambdas, len(filt.b))
     w = problem.weight_vector
     err = w * (problem.h_hat * (psi_p @ filt.a) - psi_q @ filt.b)
     return float(np.linalg.norm(err) / np.linalg.norm(w * problem.h_hat))
 
 
-def _solve_a0_constrained(block_a, block_b, weights, ar_order, b0_zero):
-    """Least squares over [a; b] with a0 = 1 eliminated into the right side.
+def _a0_buffers(basis: _Basis):
+    """Empty lhs and rhs for the a0 = 1 system of a basis."""
+    n, ar = basis.psi_p.shape[0], basis.psi_p.shape[1] - 1
+    lhs = np.empty((n, ar + basis.psi_b.shape[1]), dtype=basis.h.dtype)
+    return lhs, np.empty(n, dtype=basis.h.dtype)
 
-    block_a multiplies a (ar_order+1 columns), block_b multiplies b. Returns
+
+def _fill_a0_system(lhs, rhs, gamma, basis: _Basis) -> None:
+    """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b] into lhs and -G h into rhs.
+
+    G = diag(gamma). The unknowns are theta = [a_1..a_P; b], with a0 = 1
+    moved to the right side.
+    """
+    ar = basis.psi_p.shape[1] - 1
+    np.multiply(gamma[:, None], basis.psi_p[:, 1:], out=lhs[:, :ar])
+    lhs[:, :ar] *= basis.h[:, None]
+    np.multiply(gamma[:, None], basis.psi_b, out=lhs[:, ar:])
+    np.negative(lhs[:, ar:], out=lhs[:, ar:])
+    np.multiply(gamma, basis.h, out=rhs)
+    np.negative(rhs, out=rhs)
+
+
+def _solve_a0_constrained(lhs, rhs, weights, ar_order, b0_zero):
+    """Weighted least squares over a system filled by _fill_a0_system.
+
+    weights (None for all ones) scale lhs and rhs in place. Returns
     (a, b, imag residue before truncation, rank_deficient).
     """
-    if b0_zero:
-        block_b = block_b[:, 1:]
-    lhs = np.hstack([block_a[:, 1:], -block_b])
-    rhs = -block_a[:, 0]
-    lhs = weights[:, None] * lhs
-    rhs = weights * rhs
+    if weights is not None:
+        lhs *= weights[:, None]
+        rhs *= weights
     if lhs.shape[1] == 0:
         return np.array([1.0]), np.zeros(1 if b0_zero else 0), 0.0, False
     theta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=_LSTSQ_RCOND)
-    residue = float(np.max(np.abs(theta.imag))) if theta.size else 0.0
+    residue = float(np.max(np.abs(theta.imag)))
     theta = theta.real
     a = np.concatenate([[1.0], theta[:ar_order]])
     b_tail = theta[ar_order:]
@@ -200,10 +253,10 @@ def _solve_a0_constrained(block_a, block_b, weights, ar_order, b0_zero):
     return a, b, residue, rank < lhs.shape[1]
 
 
-def _make_report(a, b, problem, psi_p, psi_q, method, residue, warnings,
+def _make_report(a, b, problem, basis, method, residue, warnings,
                  iterations=0, history=None, converged=True, iterates=()):
     filt = ArmaFilter(a=a, b=b)
-    err_true = _true_rnmse(a, b, problem, psi_p, psi_q)
+    err_true = basis.score(basis.psi_p @ a, basis.psi_q @ b)[0]
     return DesignReport(
         filter=filt,
         rnmse_true=err_true,
@@ -221,14 +274,14 @@ def _make_report(a, b, problem, psi_p, psi_q, method, residue, warnings,
 
 def prony_ls(problem: DesignProblem) -> DesignReport:
     """Minimize the modified error ||h * a(lambda) - b(lambda)|| with a0 = 1."""
-    psi_p = _powers(problem.grid, problem.ar_order + 1)
-    psi_q = _powers(problem.grid, problem.ma_order + 1)
-    block_a = psi_p * problem.h_hat[:, None]
+    basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+    lhs, rhs = _a0_buffers(basis)
+    _fill_a0_system(lhs, rhs, np.ones(problem.grid.n), basis)
     a, b, residue, deficient = _solve_a0_constrained(
-        block_a, psi_q, problem.weight_vector, problem.ar_order, problem.constrain_b0_zero
+        lhs, rhs, problem.weights, problem.ar_order, problem.constrain_b0_zero
     )
     warnings = ("rank-deficient",) if deficient else ()
-    return _make_report(a, b, problem, psi_p, psi_q, PRONY_LS, residue, warnings)
+    return _make_report(a, b, problem, basis, PRONY_LS, residue, warnings)
 
 
 def prony_projection(problem: DesignProblem) -> DesignReport:
@@ -239,15 +292,14 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     for b with the denominator frozen.
     """
     w = problem.weight_vector
-    psi_p = _powers(problem.grid, problem.ar_order + 1)
-    psi_q = _powers(problem.grid, problem.ma_order + 1)
-    psi_b = psi_q[:, 1:] if problem.constrain_b0_zero else psi_q
+    basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+    psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.h
 
     weighted_b = w[:, None] * psi_b
     projector = np.eye(problem.grid.n) - weighted_b @ np.linalg.pinv(
         weighted_b, rcond=_LSTSQ_RCOND
     )
-    block_a = projector @ (w[:, None] * (psi_p * problem.h_hat[:, None]))
+    block_a = projector @ (w[:, None] * (psi_p * h[:, None]))
     if block_a.shape[1] == 1:
         a = np.array([1.0])
         residue_a, deficient = 0.0, False
@@ -268,12 +320,12 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
         warnings.append("denominator-regularized")
     gamma = 1.0 / alpha
     b_lhs = w[:, None] * (gamma[:, None] * psi_b)
-    b_sol, _, _, _ = np.linalg.lstsq(b_lhs, w * problem.h_hat, rcond=_LSTSQ_RCOND)
+    b_sol, _, _, _ = np.linalg.lstsq(b_lhs, w * h, rcond=_LSTSQ_RCOND)
     residue_b = float(np.max(np.abs(b_sol.imag))) if b_sol.size else 0.0
     b_tail = b_sol.real
     b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
     return _make_report(
-        a, b, problem, psi_p, psi_q, PRONY_PROJECTION,
+        a, b, problem, basis, PRONY_PROJECTION,
         max(residue_a, residue_b), warnings,
     )
 
@@ -291,6 +343,10 @@ def iterative_design(
     l2 change of the error vector drops below delta_c or after tau passes;
     the reported filter is the best-error iterate over the whole history,
     with the initialization as iterate 0.
+
+    A pass costs one least-squares solve and one evaluation of alpha = Psi_P a
+    and beta = Psi_Q b, which serves the true error, the stopping test and
+    the next pass's weights.
     """
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
@@ -301,42 +357,41 @@ def iterative_design(
             f"init orders ({init.ar_order},{init.ma_order}) do not match problem "
             f"({problem.ar_order},{problem.ma_order})"
         )
-    w = problem.weight_vector
-    psi_p = _powers(problem.grid, problem.ar_order + 1)
-    psi_q = _powers(problem.grid, problem.ma_order + 1)
+    basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+    psi_p, psi_q = basis.psi_p, basis.psi_q
+    lhs, rhs = _a0_buffers(basis)
 
     a, b = init.a, init.b
+    alpha = psi_p @ a
+    err_true, err_prev = basis.score(alpha, psi_q @ b)
     iterates = [(a, b)]
-    history = [_true_rnmse(a, b, problem, psi_p, psi_q)]
-    err_prev = _error_vector(a, b, problem, psi_p, psi_q)
+    history = [err_true]
     max_residue = 0.0
     converged = False
     warnings = set()
 
     for _ in range(tau):
-        alpha = psi_p @ a
         rho = problem.rho if problem.rho is not None else 1e-8 * float(np.max(np.abs(alpha)))
         denom = alpha + rho
-        bad = np.abs(denom) == 0.0
+        bad = denom == 0.0
         if np.any(bad):
             denom = np.where(bad, max(rho, 1e-30), denom)
             warnings.add("denominator-regularized")
-        gamma = 1.0 / denom
-        block_a = gamma[:, None] * psi_p * problem.h_hat[:, None]
-        block_b = gamma[:, None] * psi_q
-        if not (np.all(np.isfinite(block_a)) and np.all(np.isfinite(block_b))):
+        _fill_a0_system(lhs, rhs, 1.0 / denom, basis)
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             warnings.add("non-finite-iterate")
             break
         a, b, residue, deficient = _solve_a0_constrained(
-            block_a, block_b, w, problem.ar_order, problem.constrain_b0_zero
+            lhs, rhs, basis.weights, problem.ar_order, problem.constrain_b0_zero
         )
         if deficient:
             warnings.add("rank-deficient")
         max_residue = max(max_residue, residue)
         iterates.append((a, b))
-        history.append(_true_rnmse(a, b, problem, psi_p, psi_q))
-        err_new = _error_vector(a, b, problem, psi_p, psi_q)
-        finite = np.all(np.isfinite(err_new.real)) and np.all(np.isfinite(err_new.imag))
+        alpha = psi_p @ a
+        err_true, err_new = basis.score(alpha, psi_q @ b)
+        history.append(err_true)
+        finite = np.isfinite(err_new).all()
         delta = float(np.linalg.norm(err_new - err_prev)) if finite else float("inf")
         err_prev = err_new
         if delta < delta_c:
@@ -351,7 +406,7 @@ def iterative_design(
     best = int(np.argmin([e if np.isfinite(e) else np.inf for e in history]))
     a_best, b_best = iterates[best]
     return _make_report(
-        a_best, b_best, problem, psi_p, psi_q, ITERATIVE, max_residue,
+        a_best, b_best, problem, basis, ITERATIVE, max_residue,
         sorted(warnings),
         iterations=len(history) - 1,
         history=history,

@@ -29,6 +29,7 @@ from .design import (
 from .errors import (
     CsvParseError,
     DimensionError,
+    InstabilityError,
     ParameterError,
     SingularSystemError,
 )
@@ -658,6 +659,11 @@ def _polynomial_apply(coeffs, op: ShiftOperator, v):
     return out
 
 
+# What a design at a feasible order can raise when that order does not work
+# out; anything else is a defect and propagates.
+_DESIGN_ERRORS = (InstabilityError, ParameterError, np.linalg.LinAlgError)
+
+
 def _budget_candidates(grid, h, ar_order, ma_order):
     out = []
     try:
@@ -666,14 +672,14 @@ def _budget_candidates(grid, h, ar_order, ma_order):
         return out
     try:
         out.append(("prony-ls", prony_ls(problem).filter))
-    except Exception:
+    except _DESIGN_ERRORS:
         pass
     try:
         report = iterative_design(problem, tau=30)
         for i, filt in enumerate(report.iterate_filters):
             tag = "prony-projection" if i == 0 else f"iterative-{i}"
             out.append((tag, filt))
-    except Exception:
+    except _DESIGN_ERRORS:
         pass
     return out
 

@@ -272,14 +272,17 @@ def validate_conjugate_pairs(values, grid: FrequencyGrid, rtol: float = 1e-8) ->
         raise DimensionError(f"values length {v.shape} does not match grid n={grid.n}")
     scale = max(float(np.max(np.abs(v))) if v.size else 0.0, 1.0)
     tol = rtol * scale
-    for i, j in enumerate(grid.pair):
-        if i == j:
-            if abs(v[i].imag) > tol:
-                raise ConjugateSymmetryError(
-                    f"value at real frequency {i} has imaginary part {v[i].imag:.3e}"
-                )
-        elif abs(v[j] - np.conj(v[i])) > tol:
-            raise ConjugateSymmetryError(f"values at pair ({i},{j}) are not conjugate")
+    pair = grid.pair
+    real = pair == np.arange(grid.n)
+    bad = np.where(real, np.abs(v.imag) > tol, np.abs(v[pair] - np.conj(v)) > tol)
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    if real[i]:
+        raise ConjugateSymmetryError(
+            f"value at real frequency {i} has imaginary part {v[i].imag:.3e}"
+        )
+    raise ConjugateSymmetryError(f"values at pair ({i},{int(pair[i])}) are not conjugate")
 
 
 def grid_to_csv(grid: FrequencyGrid, path) -> None:

@@ -19,12 +19,17 @@ from graphfilt import (
     true_error,
     uniform_real_grid,
 )
+from graphfilt import design
 from graphfilt.arma import StabilityReport
 from graphfilt.design import order_candidates, run_method
 from graphfilt.experiments import ideal_lowpass
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
-from conftest import random_pair_symmetric, random_stable_arma
+from conftest import (
+    random_pair_symmetric,
+    random_stable_arma,
+    reference_iterative_design,
+)
 
 
 def rational_response(grid, a, b):
@@ -185,6 +190,62 @@ class TestIterative:
             iterative_design(problem, init=ArmaFilter(a=[1.0], b=[1.0]))
 
 
+class TestIterativeReference:
+    """The pass loop against the naive complex loop kept in conftest."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("b0_zero", [False, True])
+    def test_complex_grid_reports_identical(self, weighted, b0_zero):
+        grid = complex_disc_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        weights = np.linspace(0.5, 2.0, grid.n) if weighted else None
+        for p, q in [(1, 2), (3, 5), (6, 7), (9, 10)]:
+            problem = DesignProblem(
+                grid=grid, h_hat=h, ar_order=p, ma_order=q, weights=weights,
+                constrain_b0_zero=b0_zero,
+            )
+            new = iterative_design(problem)
+            ref = reference_iterative_design(problem)
+            assert np.array_equal(new.filter.a, ref.filter.a)
+            assert np.array_equal(new.filter.b, ref.filter.b)
+            assert np.array_equal(new.error_history, ref.error_history)
+            assert len(new.iterate_filters) == len(ref.iterate_filters)
+            for x, y in zip(new.iterate_filters, ref.iterate_filters):
+                assert np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+            assert new.warnings == ref.warnings
+            assert new.iterations == ref.iterations
+            assert new.imag_residue == ref.imag_residue
+            assert new.imag_residue > 0.0  # the solve ran in complex arithmetic
+
+    def test_real_grid_order_search_matches(self, monkeypatch):
+        # real arithmetic rounds differently, so the errors agree to a
+        # tolerance and the chosen orders exactly
+        grid = uniform_real_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        new = [best_order_search(grid, h, k, "iterative") for k in range(5, 14)]
+        monkeypatch.setattr(
+            design, "iterative_design",
+            lambda problem, tau, delta_c: reference_iterative_design(problem, tau, delta_c),
+        )
+        for k, rep in zip(range(5, 14), new):
+            ref = best_order_search(grid, h, k, "iterative")
+            assert (rep.filter.ar_order, rep.filter.ma_order) == (
+                ref.filter.ar_order, ref.filter.ma_order
+            )
+            assert rep.rnmse_true == pytest.approx(ref.rnmse_true, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["prony-ls", "prony-projection", "iterative"])
+    def test_real_grids_have_no_imaginary_residue(self, method):
+        er = spectrum_grid(eigendecompose(
+            normalize(build_er_graph(40, 0.2, 5), NORMALIZED_LAPLACIAN)
+        ))
+        for grid in (uniform_real_grid(60), er):
+            problem = DesignProblem(
+                grid=grid, h_hat=ideal_lowpass(grid, 1.0), ar_order=3, ma_order=4
+            )
+            assert run_method(method, problem).imag_residue == 0.0
+
+
 class TestErrors:
     def test_exact_fit_gives_zero_errors(self):
         grid = uniform_real_grid(40)
@@ -315,6 +376,23 @@ class TestOrderSearch:
             for k in (2, 4, 6, 8)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("le_budget, budget", [(False, 9), (True, 10)])
+    def test_one_method_run_per_feasible_candidate(self, monkeypatch, le_budget, budget):
+        grid = uniform_real_grid(10)
+        h = ideal_lowpass(grid, 1.0)
+        calls = []
+
+        def counting(method, problem, **kwargs):
+            calls.append((problem.ar_order, problem.ma_order))
+            return run_method(method, problem, **kwargs)
+
+        monkeypatch.setattr(design, "run_method", counting)
+        best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
+        feasible = [
+            (p, q) for p, q in order_candidates(budget, le_budget) if p + q + 1 <= grid.n
+        ]
+        assert calls == feasible
 
     def test_thread_env_gives_same_result(self, monkeypatch):
         grid = uniform_real_grid(40)

@@ -3,6 +3,7 @@ import pytest
 
 from graphfilt import (
     ArmaFilter,
+    InstabilityError,
     CgConfig,
     Graph,
     ParameterError,
@@ -14,10 +15,12 @@ from graphfilt import (
     rnmse,
     spectrum_grid,
 )
+from graphfilt import experiments
 from graphfilt.errors import CsvParseError
 from graphfilt.experiments import (
     InterpolationTask,
     _backward_filter,
+    _budget_candidates,
     _reconstruct_from_filter,
     compress,
     compress_fir,
@@ -257,6 +260,26 @@ class TestCompression:
         arma_err = compress(op, x, 8).rnmse
         _, _, fir_err = compress_fir(op, x, 8)
         assert arma_err < fir_err
+
+
+class TestBudgetCandidates:
+    @pytest.mark.parametrize(
+        "error, propagates",
+        [(TypeError("defect"), True), (InstabilityError("diverged"), False)],
+    )
+    def test_only_design_failures_are_skipped(self, monkeypatch, error, propagates):
+        def failing(problem, tau):
+            raise error
+
+        monkeypatch.setattr(experiments, "iterative_design", failing)
+        grid = uniform_real_grid(40)
+        h = ideal_lowpass(grid, 1.0)
+        if propagates:
+            with pytest.raises(type(error)):
+                _budget_candidates(grid, h, 2, 3)
+        else:
+            tags = [tag for tag, _ in _budget_candidates(grid, h, 2, 3)]
+            assert tags == ["prony-ls"]
 
 
 class TestUniversalStudy:

@@ -123,6 +123,27 @@ class TestGft:
         with pytest.raises(DimensionError):
             gft(dec, np.ones(3))
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ({3: 3.0 + 0.5j, 4: 5.0}, "value at real frequency 3 has imaginary part 5.000e-01"),
+            ({1: 2.0 + 1.5j, 3: 3.0 + 0.5j}, "values at pair (1,2) are not conjugate"),
+        ],
+    )
+    def test_conjugate_violation_reports_first_offender(self, broken, message):
+        grid = FrequencyGrid(
+            lambdas=np.array([1.0, 1j, -1j, 2.0, 1 + 1j, 1 - 1j]),
+            kind="graph-spectrum",
+            pair=np.array([0, 2, 1, 3, 5, 4]),
+        )
+        values = np.array([1.0, 2 + 1j, 2 - 1j, 3.0, 4 + 2j, 4 - 2j])
+        validate_conjugate_pairs(values, grid)
+        for i, v in broken.items():
+            values[i] = v
+        with pytest.raises(ConjugateSymmetryError) as info:
+            validate_conjugate_pairs(values, grid)
+        assert str(info.value) == message
+
 
 class TestPairing:
     def test_pairing_is_involution(self):
