@@ -45,6 +45,7 @@ from .fir import (
     fir_matrix_fit,
     fir_response,
     fir_to_json,
+    poly_apply,
     vandermonde,
 )
 from .graphs import (

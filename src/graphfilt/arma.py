@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import FirFilter, fir_apply
+from .fir import filter_payload, poly_apply, vandermonde
 from .graphs import ShiftOperator
 from .spectral import FrequencyGrid
 
@@ -63,8 +63,7 @@ class StabilityReport:
 
 
 def _denominator(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
-    psi = grid.lambdas[:, None] ** np.arange(len(filt.a))[None, :]
-    return psi @ filt.a
+    return vandermonde(grid.lambdas, len(filt.a)) @ filt.a
 
 
 def arma_response(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
@@ -76,8 +75,7 @@ def arma_response(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
             f"denominator vanishes at grid index {int(bad[0])}",
             offending=[int(i) for i in bad],
         )
-    psi_b = grid.lambdas[:, None] ** np.arange(len(filt.b))[None, :]
-    return (psi_b @ filt.b) / denom
+    return (vandermonde(grid.lambdas, len(filt.b)) @ filt.b) / denom
 
 
 def check_stability(
@@ -96,22 +94,13 @@ def check_stability(
     )
 
 
-def arma_polynomial_matrix(filt: ArmaFilter, op: ShiftOperator) -> np.ndarray:
-    """Dense sum a_p S^p; the left-hand operator of the ARMA linear system."""
-    s = op.dense()
-    out = filt.a[0] * np.eye(op.n)
-    power = np.eye(op.n)
-    for p in range(1, len(filt.a)):
-        power = power @ s
-        out += filt.a[p] * power
-    return out
-
-
 def arma_apply_direct(filt: ArmaFilter, op: ShiftOperator, x) -> np.ndarray:
     """Exact ARMA application: pre-filter with the numerator, then solve.
 
-    Uses a partial-pivoting dense factorization; the desk-scale reference
-    oracle for the conjugate-gradient path (n capped at 2000).
+    Builds sum a_p S^p by applying the shift polynomial to the identity,
+    O(P E n), and solves it with a partial-pivoting dense factorization; the
+    desk-scale reference oracle for the conjugate-gradient path (n capped at
+    2000).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (op.n,):
@@ -120,8 +109,8 @@ def arma_apply_direct(filt: ArmaFilter, op: ShiftOperator, x) -> np.ndarray:
         raise ParameterError(
             f"direct solve capped at n={_DIRECT_SOLVE_MAX_N}; use the CG path"
         )
-    z = fir_apply(FirFilter(g=filt.b), op, x)
-    p_mat = arma_polynomial_matrix(filt, op)
+    z = poly_apply(filt.b, op, x)
+    p_mat = poly_apply(filt.a, op, np.eye(op.n))
     try:
         return np.linalg.solve(p_mat, z)
     except np.linalg.LinAlgError as exc:
@@ -135,10 +124,5 @@ def arma_to_json(filt: ArmaFilter) -> str:
 
 
 def arma_from_json(text: str) -> ArmaFilter:
-    payload = json.loads(text)
-    if payload.get("type") != "arma":
-        raise ParameterError(f"expected filter type 'arma', got {payload.get('type')!r}")
-    a = np.asarray(payload["a"], dtype=float)
-    if a.size == 0 or a[0] != 1.0:
-        raise ParameterError("loaded ARMA filter must have a0 = 1")
-    return ArmaFilter(a=a, b=np.asarray(payload["b"], dtype=float))
+    payload = filter_payload(text, "arma", ("a", "b"))
+    return ArmaFilter(a=payload["a"], b=payload["b"])

@@ -15,8 +15,8 @@ import numpy as np
 
 from .arma import ArmaFilter
 from .errors import DimensionError, DivergenceError, ParameterError
-from .fir import FirFilter, fir_apply
-from .graphs import ShiftOperator, is_symmetric, shift_apply, shift_apply_transpose
+from .fir import poly_apply
+from .graphs import ShiftOperator, is_symmetric
 
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_STREAK = 5
@@ -117,27 +117,16 @@ def arma_apply_cg(filt: ArmaFilter, op: ShiftOperator, x, cfg: CgConfig):
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
     trace = CgTrace()
-    a = filt.a
 
     def apply_p(v):
-        out = a[0] * v
-        power = v
-        for p in range(1, len(a)):
-            power = shift_apply(op, power)
-            trace.shift_applications += 1
-            out = out + a[p] * power
-        return out
+        trace.shift_applications += filt.ar_order
+        return poly_apply(filt.a, op, v)
 
     def apply_pt(v):
-        out = a[0] * v
-        power = v
-        for p in range(1, len(a)):
-            power = shift_apply_transpose(op, power)
-            trace.shift_applications += 1
-            out = out + a[p] * power
-        return out
+        trace.shift_applications += filt.ar_order
+        return poly_apply(filt.a, op, v, transpose=True)
 
-    z = fir_apply(FirFilter(g=filt.b), op, x)
+    z = poly_apply(filt.b, op, x)
     trace.shift_applications += filt.ma_order
 
     if is_symmetric(op):

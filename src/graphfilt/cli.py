@@ -35,7 +35,7 @@ from .errors import (
     InstabilityError,
     ParameterError,
 )
-from .fir import fir_apply, fir_design, fir_from_json, fir_to_json
+from .fir import filter_payload, fir_apply, fir_design, fir_from_json, fir_to_json
 from .graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
@@ -113,20 +113,36 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
         parser.set_defaults(**payload)
 
 
-def _read_signal_column(path):
-    values = {}
+def _read_pairs(path, header, parse_first) -> list:
+    """(line, first, second) for every non-empty row of a two-column CSV.
+
+    The file must start with the given header; first fields go through
+    parse_first, second fields through float.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["node_id", "value"]:
-            raise CsvParseError("expected header 'node_id,value'", line=1)
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise CsvParseError(f"expected header '{','.join(header)}'", line=1)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise CsvParseError(f"expected 2 fields, got {len(row)}", line=lineno)
             try:
-                values[int(row[0])] = float(row[1])
+                rows.append((lineno, parse_first(row[0]), float(row[1])))
             except ValueError as exc:
                 raise CsvParseError(str(exc), line=lineno) from exc
+    return rows
+
+
+def _read_signal_column(path):
+    values = {}
+    for lineno, node, value in _read_pairs(path, ("node_id", "value"), int):
+        if node in values:
+            raise CsvParseError(f"duplicate node_id {node}", line=lineno)
+        values[node] = value
     n = max(values) + 1 if values else 0
     if sorted(values) != list(range(n)):
         raise CsvParseError("node ids must cover 0..n-1")
@@ -145,20 +161,8 @@ def _write_signal_column(path, values):
 
 
 def _read_response_csv(path):
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["re", "im"]:
-            raise CsvParseError("expected header 're,im'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values.append(complex(float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-    return np.array(values)
+    rows = _read_pairs(path, ("re", "im"), float)
+    return np.array([complex(re, im) for _, re, im in rows])
 
 
 def _resolve_grid(args):
@@ -199,12 +203,12 @@ def _load_operator(args):
 
 def _load_filter(path):
     with open(path) as fh:
-        payload = fh.read()
-    kind = json.loads(payload).get("type")
+        text = fh.read()
+    kind = filter_payload(text).get("type")
     if kind == "fir":
-        return fir_from_json(payload)
+        return fir_from_json(text)
     if kind == "arma":
-        return arma_from_json(payload)
+        return arma_from_json(text)
     raise ParameterError(f"unknown filter type {kind!r}")
 
 

@@ -12,14 +12,13 @@ their imaginary residue is recorded and truncated.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arma import ArmaFilter, StabilityReport, check_stability
 from .errors import InstabilityError, ParameterError
+from .fir import vandermonde
 from .spectral import COMPLEX_DISC, FrequencyGrid, validate_conjugate_pairs
 
 _LSTSQ_RCOND = 1e-12
@@ -135,10 +134,6 @@ class DesignReport:
     iterate_filters: tuple = ()
 
 
-def _powers(lambdas: np.ndarray, cols: int) -> np.ndarray:
-    return lambdas[:, None] ** np.arange(cols)[None, :]
-
-
 @dataclass(frozen=True)
 class _Basis:
     """Vandermonde columns, target and error scale of one design, built once.
@@ -184,9 +179,9 @@ def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
     if problem.grid.all_real and not np.any(h.imag):
         lam, h = lam.real, h.real.copy()
     w = problem.weights
-    psi_q = _powers(lam, ma_cols)
+    psi_q = vandermonde(lam, ma_cols)
     return _Basis(
-        psi_p=_powers(lam, ar_cols),
+        psi_p=vandermonde(lam, ar_cols),
         psi_q=psi_q,
         psi_b=psi_q[:, 1:] if problem.constrain_b0_zero else psi_q,
         h=h,
@@ -204,8 +199,8 @@ def true_error(filt: ArmaFilter, problem: DesignProblem) -> float:
 
 def modified_error(filt: ArmaFilter, problem: DesignProblem) -> float:
     """RNMSE of the denominator-multiplied (Prony) error h*a(lambda) - b(lambda)."""
-    psi_p = _powers(problem.grid.lambdas, len(filt.a))
-    psi_q = _powers(problem.grid.lambdas, len(filt.b))
+    psi_p = vandermonde(problem.grid.lambdas, len(filt.a))
+    psi_q = vandermonde(problem.grid.lambdas, len(filt.b))
     w = problem.weight_vector
     err = w * (problem.h_hat * (psi_p @ filt.a) - psi_q @ filt.b)
     return float(np.linalg.norm(err) / np.linalg.norm(w * problem.h_hat))
@@ -435,14 +430,6 @@ def order_candidates(budget: int, le_budget: bool) -> list:
     return [(p, budget - p) for p in range(budget + 1)]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRAPHFILT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def best_order_search(
     grid: FrequencyGrid,
     h_hat,
@@ -470,8 +457,7 @@ def best_order_search(
     if not cands:
         raise ParameterError(f"no feasible orders for budget {budget} on {grid.n} points")
 
-    def attempt(orders):
-        p, q = orders
+    def attempt(p, q):
         try:
             problem = DesignProblem(
                 grid=grid, h_hat=h_hat, ar_order=p, ma_order=q, weights=weights,
@@ -482,12 +468,7 @@ def best_order_search(
         except (InstabilityError, np.linalg.LinAlgError):
             return None
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(attempt, cands))
-    else:
-        reports = [attempt(c) for c in cands]
+    reports = [attempt(p, q) for p, q in cands]
 
     scored = [
         (rep.rnmse_true, rep.filter.ar_order, rep.filter.ma_order, rep)

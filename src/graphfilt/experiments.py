@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import FirFilter, fir_apply, fir_design, fir_response
+from .fir import FirFilter, fir_apply, fir_design, fir_response, poly_apply, vandermonde
 from .graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
@@ -366,7 +366,7 @@ def compress_fir(op: ShiftOperator, x, order: int):
     dec = eigendecompose(op)
     grid = spectrum_grid(dec)
     x_hat = gft(dec, x)
-    psi = grid.lambdas[:, None] ** np.arange(order + 1)[None, :]
+    psi = vandermonde(grid.lambdas, order + 1)
     stacked = np.vstack([psi.real, psi.imag])
     rhs = np.concatenate([x_hat.real, x_hat.imag])
     g, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=1e-12)
@@ -607,9 +607,9 @@ def budgeted_cg_study(
     def cg_score(filt: ArmaFilter, iterations: int, inputs) -> float:
         vals = []
         for x in inputs:
-            z = fir_apply(FirFilter(g=filt.b), op, x)
+            z = poly_apply(filt.b, op, x)
             y, _ = cg_solve(
-                lambda v, a=filt.a: _polynomial_apply(a, op, v),
+                lambda v, a=filt.a: poly_apply(a, op, v),
                 z,
                 CgConfig(epsilon=epsilon, max_iterations=iterations, y0=z),
             )
@@ -619,7 +619,7 @@ def budgeted_cg_study(
     def denominator_positive(filt: ArmaFilter) -> bool:
         # plain CG needs a positive-definite system: the denominator
         # polynomial must stay positive over the operator's spectral range
-        alpha = (grid.lambdas[:, None] ** np.arange(len(filt.a))[None, :]) @ filt.a
+        alpha = vandermonde(grid.lambdas, len(filt.a)) @ filt.a
         return bool(np.all(alpha.real > 0.0))
 
     best = None
@@ -648,15 +648,6 @@ def budgeted_cg_study(
         cg_iterations=iterations,
         candidate=tag,
     )
-
-
-def _polynomial_apply(coeffs, op: ShiftOperator, v):
-    out = coeffs[0] * v
-    power = v
-    for p in range(1, len(coeffs)):
-        power = shift_apply(op, power)
-        out = out + coeffs[p] * power
-    return out
 
 
 # What a design at a feasible order can raise when that order does not work

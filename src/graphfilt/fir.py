@@ -1,8 +1,14 @@
-"""FIR graph filter design by least squares on a frequency grid.
+"""FIR graph filter design by least squares on a frequency grid, and the
+monomial basis every filter in the package is built on.
 
 The design solves g = pinv(Psi) h for the Vandermonde matrix Psi of the
 grid frequencies; conjugate-pair symmetry of the desired response makes the
 solution real-valued up to floating-point residue.
+
+`vandermonde` (a polynomial on a frequency grid) and `poly_apply` (a
+polynomial in the shift applied to signals) are the only places that know
+the basis: every FIR and ARMA response, design system and application goes
+through them.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalFailureError, ParameterError
-from .graphs import ShiftOperator, shift_apply
+from .errors import CsvParseError, DimensionError, NumericalFailureError, ParameterError
+from .graphs import ShiftOperator, shift_apply, shift_apply_transpose
 from .spectral import FrequencyGrid, validate_conjugate_pairs
 
 _LSTSQ_RCOND = 1e-12
@@ -40,15 +46,6 @@ class FirFilter:
 
 
 @dataclass(frozen=True)
-class VandermondeSystem:
-    """Vandermonde matrix of grid frequencies with a conditioning estimate."""
-
-    psi: np.ndarray
-    lambdas: np.ndarray
-    condition_estimate: float
-
-
-@dataclass(frozen=True)
 class FirDesign:
     filter: FirFilter
     rnmse: float
@@ -56,41 +53,32 @@ class FirDesign:
     condition_estimate: float
 
 
-def vandermonde(grid: FrequencyGrid, cols: int) -> VandermondeSystem:
-    """N x cols matrix of ascending frequency powers, [psi]_{n,k} = lambda_n^k."""
-    if cols < 1:
-        raise ParameterError(f"need at least one column, got {cols}")
-    psi = grid.lambdas[:, None] ** np.arange(cols)[None, :]
-    return VandermondeSystem(
-        psi=psi,
-        lambdas=grid.lambdas.copy(),
-        condition_estimate=float(np.linalg.cond(psi)),
-    )
+def vandermonde(lambdas: np.ndarray, cols: int) -> np.ndarray:
+    """N x cols matrix of ascending frequency powers, [psi]_{n,k} = lambda_n^k.
 
-
-def group_close_frequencies(grid: FrequencyGrid, h_hat, tol: float):
-    """Merge grid points closer than tol, averaging their desired responses.
-
-    Optional conditioning aid; returns (grid, h_hat) with representatives of
-    each cluster. Clustering is greedy in index order, so conjugate-pair
-    structure survives for symmetric inputs.
+    The dtype follows lambdas, so real frequencies give a float64 matrix.
     """
-    from .spectral import pair_conjugates
+    return lambdas[:, None] ** np.arange(cols)[None, :]
 
-    lam = grid.lambdas
-    h = np.asarray(h_hat, dtype=complex)
-    taken = np.zeros(grid.n, dtype=bool)
-    new_lam, new_h = [], []
-    for i in range(grid.n):
-        if taken[i]:
-            continue
-        cluster = np.flatnonzero(~taken & (np.abs(lam - lam[i]) <= tol))
-        taken[cluster] = True
-        new_lam.append(lam[cluster].mean())
-        new_h.append(h[cluster].mean())
-    pair, lam_adj = pair_conjugates(np.array(new_lam))
-    merged = FrequencyGrid(lambdas=lam_adj, kind=grid.kind, pair=pair)
-    return merged, np.array(new_h)
+
+def _shift_powers(op: ShiftOperator, x, count: int, transpose: bool = False):
+    """Yield S x, S^2 x, ..., S^count x (S^T with transpose), one shift each."""
+    shift = shift_apply_transpose if transpose else shift_apply
+    for _ in range(count):
+        x = shift(op, x)
+        yield x
+
+
+def poly_apply(coeffs, op: ShiftOperator, x, transpose: bool = False) -> np.ndarray:
+    """sum c_k S^k x (S^T with transpose) for x of shape (n,) or (n, m).
+
+    Costs len(coeffs) - 1 shift applications; each column of a block gets
+    exactly the values it would get on its own.
+    """
+    out = coeffs[0] * x
+    for c, power in zip(coeffs[1:], _shift_powers(op, x, len(coeffs) - 1, transpose)):
+        out = out + c * power
+    return out
 
 
 def _solve_real_lstsq(matrix, rhs):
@@ -109,7 +97,6 @@ def fir_design(
     grid: FrequencyGrid,
     h_hat,
     order: int,
-    group_tol: float | None = None,
 ) -> FirDesign:
     """Fit FIR coefficients to a desired response by least squares.
 
@@ -121,18 +108,16 @@ def fir_design(
         raise ParameterError(f"order must be non-negative, got {order}")
     h = np.asarray(h_hat, dtype=complex)
     validate_conjugate_pairs(h, grid)
-    if group_tol is not None:
-        grid, h = group_close_frequencies(grid, h, group_tol)
     if grid.n < order + 1:
         raise ParameterError(f"need at least {order + 1} grid points, got {grid.n}")
-    system = vandermonde(grid, order + 1)
-    g, residue, _ = _solve_real_lstsq(system.psi, h)
+    psi = vandermonde(grid.lambdas, order + 1)
+    g, residue, _ = _solve_real_lstsq(psi, h)
     if residue > _IMAG_TRUNCATE_TOL:
         raise NumericalFailureError(
             f"imaginary residue {residue:.3e} exceeds {_IMAG_TRUNCATE_TOL:.0e}"
         )
     filt = FirFilter(g=g)
-    fitted = system.psi @ filt.g
+    fitted = psi @ filt.g
     rnmse = float(np.linalg.norm(h - fitted) / np.linalg.norm(h)) if np.any(h) else float(
         np.linalg.norm(fitted)
     )
@@ -140,14 +125,13 @@ def fir_design(
         filter=filt,
         rnmse=rnmse,
         imag_residue=residue,
-        condition_estimate=system.condition_estimate,
+        condition_estimate=float(np.linalg.cond(psi)),
     )
 
 
 def fir_response(filt: FirFilter, grid: FrequencyGrid) -> np.ndarray:
     """Frequency response sum g_k lambda^k at every grid point."""
-    psi = grid.lambdas[:, None] ** np.arange(len(filt.g))[None, :]
-    return psi @ filt.g
+    return vandermonde(grid.lambdas, len(filt.g)) @ filt.g
 
 
 def fir_apply(filt: FirFilter, op: ShiftOperator, x) -> np.ndarray:
@@ -155,12 +139,7 @@ def fir_apply(filt: FirFilter, op: ShiftOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
-    y = filt.g[0] * x
-    power = x
-    for k in range(1, len(filt.g)):
-        power = shift_apply(op, power)
-        y = y + filt.g[k] * power
-    return y
+    return poly_apply(filt.g, op, x)
 
 
 @dataclass(frozen=True)
@@ -183,12 +162,10 @@ def fir_matrix_fit(target, op: ShiftOperator, order: int) -> FirMatrixFit:
         raise DimensionError(f"target shape {t.shape} does not match ({n},{n})")
     if n * n < order + 1:
         raise ParameterError(f"n^2={n * n} rows cannot fit {order + 1} coefficients")
-    s = op.dense()
     cols = np.empty((n * n, order + 1))
-    power = np.eye(n)
-    cols[:, 0] = power.ravel()
-    for k in range(1, order + 1):
-        power = power @ s
+    eye = np.eye(n)
+    cols[:, 0] = eye.ravel()
+    for k, power in enumerate(_shift_powers(op, eye, order), start=1):
         cols[:, k] = power.ravel()
     g, _, rank, _ = np.linalg.lstsq(cols, t.ravel(), rcond=_LSTSQ_RCOND)
     filt = FirFilter(g=g)
@@ -202,8 +179,29 @@ def fir_to_json(filt: FirFilter) -> str:
     return json.dumps({"type": "fir", "g": [float(v) for v in filt.g]})
 
 
+def filter_payload(text: str, kind: str | None = None, keys=()) -> dict:
+    """Decode a filter JSON object and turn its coefficient lists into arrays.
+
+    Checks the "type" field when kind is given; every name in keys must hold
+    a list of numbers, returned as a float array.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CsvParseError(f"invalid filter JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError("filter JSON must be an object")
+    if kind is not None and payload.get("type") != kind:
+        raise ParameterError(f"expected filter type {kind!r}, got {payload.get('type')!r}")
+    for key in keys:
+        if key not in payload:
+            raise ParameterError(f"filter JSON lacks coefficients {key!r}")
+        try:
+            payload[key] = np.asarray(payload[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"coefficients {key!r} are not numbers: {exc}") from exc
+    return payload
+
+
 def fir_from_json(text: str) -> FirFilter:
-    payload = json.loads(text)
-    if payload.get("type") != "fir":
-        raise ParameterError(f"expected filter type 'fir', got {payload.get('type')!r}")
-    return FirFilter(g=np.asarray(payload["g"], dtype=float))
+    return FirFilter(g=filter_payload(text, "fir", ("g",))["g"])

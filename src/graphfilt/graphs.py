@@ -340,20 +340,22 @@ def custom_operator(matrix) -> ShiftOperator:
     return ShiftOperator(kind=CUSTOM, matrix=m, spectral_norm=1.0)
 
 
-def shift_apply(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
-    """S @ x without forming dense powers; O(E) per call."""
+def _check_signals(op: ShiftOperator, x) -> np.ndarray:
+    """x as an array of shape (n,) or (n, m): one signal, or m in columns."""
     x = np.asarray(x)
-    if x.shape != (op.n,):
+    if x.ndim not in (1, 2) or x.shape[0] != op.n:
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
-    return op.matrix @ x
+    return x
+
+
+def shift_apply(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """S @ x without forming dense powers; O(E) per signal column."""
+    return op.matrix @ _check_signals(op, x)
 
 
 def shift_apply_transpose(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S.T @ x, used by the normal-equations CG fallback."""
-    x = np.asarray(x)
-    if x.shape != (op.n,):
-        raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
-    return op.matrix.T @ x
+    return op.matrix.T @ _check_signals(op, x)
 
 
 def is_symmetric(op: ShiftOperator, tol: float = 1e-12) -> bool:

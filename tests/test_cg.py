@@ -17,6 +17,7 @@ from graphfilt import (
     normalize,
     trace_to_csv,
 )
+from graphfilt import fir
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 
 from conftest import random_stable_arma
@@ -111,6 +112,37 @@ class TestArmaApplyCg:
         ar, ma = 2, 3
         assert trace.normal_equations
         assert trace.shift_applications == ma + 2 * ar + 2 * ar * trace.iterations
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["laplacian", "knn-adjacency"])
+    def test_shift_calls_equal_trace_count(self, monkeypatch, symmetric):
+        # every shift the kernel makes is one call of the graphs functions it
+        # looks up, and the trace counts exactly those calls
+        rng = np.random.default_rng(12)
+        if symmetric:
+            op = er_op(40, 0.2, 9)
+        else:
+            op = normalize(build_knn_directed(rng.random((30, 2)) * 3, 4),
+                           NORMALIZED_ADJACENCY)
+        calls = {"shift_apply": 0, "shift_apply_transpose": 0}
+        for name in calls:
+            def counting(op, x, name=name, original=getattr(fir, name)):
+                calls[name] += 1
+                return original(op, x)
+
+            monkeypatch.setattr(fir, name, counting)
+        ar, ma = 3, 2
+        a, b = random_stable_arma(rng, ar, ma)
+        _, trace = arma_apply_cg(
+            ArmaFilter(a=a, b=b), op, rng.standard_normal(op.n),
+            CgConfig(epsilon=1e-8, max_iterations=100),
+        )
+        assert trace.normal_equations is not symmetric
+        products = trace.iterations + 1
+        transposed = 0 if symmetric else ar * products
+        assert calls["shift_apply_transpose"] == transposed
+        assert calls["shift_apply"] == ma + ar * products
+        assert sum(calls.values()) == trace.shift_applications
+        assert trace.shift_applications == ma + ar * products * (1 if symmetric else 2)
 
     def test_normal_equations_match_direct_solve(self):
         rng = np.random.default_rng(11)

@@ -195,6 +195,42 @@ class TestMalformedGraph:
         assert "graph JSON" in capsys.readouterr().err
 
 
+FIR_IDENTITY = '{"type": "fir", "g": [1.0]}'
+TWO_NODE_SIGNAL = "node_id,value\n0,1.0\n1,2.0\n"
+
+
+class TestMalformedApplyInput:
+    @pytest.mark.parametrize("signal, filt", [
+        pytest.param("node_id,value\n0\n1,2.0\n", FIR_IDENTITY, id="signal-one-field"),
+        pytest.param("node_id,value\n0,1.0\n0,3.0\n1,2.0\n", FIR_IDENTITY,
+                     id="signal-duplicate-node"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir", "g": [1.0', id="filter-invalid-json"),
+        pytest.param(TWO_NODE_SIGNAL, "[1.0, 2.0]", id="filter-not-object"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir"}', id="fir-lacks-g"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "b": [1.0]}', id="arma-lacks-a"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "a": [1.0]}', id="arma-lacks-b"),
+    ])
+    def test_apply_exits_with_parse_code(self, tmp_path, capsys, signal, filt):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 2, "directed": false, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
+        (tmp_path / "f.json").write_text(filt)
+        (tmp_path / "x.csv").write_text(signal)
+        code = run(["apply", "--filter", str(tmp_path / "f.json"), "--graph", str(graph),
+                    "--input", str(tmp_path / "x.csv"), "-o", str(tmp_path / "y.csv")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_response_row_with_one_field_exits_with_parse_code(self, tmp_path, capsys):
+        response = tmp_path / "h.csv"
+        response.write_text("re,im\n1.0,0.0\n1.0\n1.0,0.0\n")
+        code = run(["design", "--method", "fir", "--k", "1", "--grid", "uniform-real",
+                    "--grid-size", "3", "--response", f"file:{response}",
+                    "-o", str(tmp_path / "f.json")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
 def test_import_leaves_experiments_unloaded():
     # apply never needs the experiments module or the scipy.sparse.csgraph
     # it imports, so loading the CLI must not pay for them

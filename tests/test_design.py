@@ -394,12 +394,3 @@ class TestOrderSearch:
         ]
         assert calls == feasible
 
-    def test_thread_env_gives_same_result(self, monkeypatch):
-        grid = uniform_real_grid(40)
-        h = ideal_lowpass(grid, 1.0)
-        seq = best_order_search(grid, h, 6, "iterative")
-        monkeypatch.setenv("GRAPHFILT_THREADS", "4")
-        par = best_order_search(grid, h, 6, "iterative")
-        assert par.rnmse_true == seq.rnmse_true
-        assert np.array_equal(par.filter.a, seq.filter.a)
-        assert np.array_equal(par.filter.b, seq.filter.b)

@@ -17,11 +17,18 @@ from graphfilt import (
     gft,
     igft,
     normalize,
+    poly_apply,
     uniform_real_grid,
     vandermonde,
 )
 from graphfilt.experiments import ideal_lowpass
-from graphfilt.graphs import Graph, NORMALIZED_LAPLACIAN, custom_operator
+from graphfilt.graphs import (
+    NORMALIZED_ADJACENCY,
+    NORMALIZED_LAPLACIAN,
+    Graph,
+    build_knn_directed,
+    custom_operator,
+)
 
 from conftest import random_pair_symmetric
 
@@ -29,17 +36,17 @@ from conftest import random_pair_symmetric
 class TestVandermonde:
     def test_three_point_two_columns(self):
         grid = uniform_real_grid(3)
-        system = vandermonde(grid, 2)
-        assert np.allclose(system.psi.real, [[1, 0], [1, 1], [1, 2]])
-        assert np.all(system.psi.imag == 0)
+        psi = vandermonde(grid.lambdas, 2)
+        assert np.allclose(psi.real, [[1, 0], [1, 1], [1, 2]])
+        assert np.all(psi.imag == 0)
 
     def test_single_column_is_ones(self):
         grid = uniform_real_grid(5)
-        assert np.allclose(vandermonde(grid, 1).psi, np.ones((5, 1)))
+        assert np.allclose(vandermonde(grid.lambdas, 1), np.ones((5, 1)))
 
     def test_condition_grows_with_columns(self):
         grid = uniform_real_grid(100)
-        conds = [vandermonde(grid, c).condition_estimate for c in range(2, 18)]
+        conds = [np.linalg.cond(vandermonde(grid.lambdas, c)) for c in range(2, 18)]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(conds, conds[1:]))
 
 
@@ -103,12 +110,6 @@ class TestFirDesign:
             design = fir_design(grid, h, int(rng.integers(1, 9)))
             assert design.imag_residue <= 1e-8
 
-    def test_grouping_merges_close_points(self):
-        grid = uniform_real_grid(50)
-        h = 2.0 * np.ones(50, dtype=complex)
-        merged = fir_design(grid, h, 2, group_tol=0.5)
-        assert merged.rnmse <= 1e-10
-
 
 class TestFirResponse:
     def test_constant_filter(self):
@@ -147,6 +148,32 @@ class TestFirApply:
         oracle = igft(dec, response * gft(dec, x)).real
         y = fir_apply(FirFilter(g=g), op, x)
         assert np.linalg.norm(y - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+class TestPolyApply:
+    @pytest.fixture(params=["er-laplacian", "knn-adjacency"])
+    def op(self, request):
+        if request.param == "er-laplacian":
+            return normalize(build_er_graph(60, 0.1, 3), NORMALIZED_LAPLACIAN)
+        coords = np.random.default_rng(5).random((40, 2)) * 3
+        return normalize(build_knn_directed(coords, 5), NORMALIZED_ADJACENCY)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_block_equals_column_by_column(self, op, transpose):
+        rng = np.random.default_rng(6)
+        coeffs = rng.standard_normal(5)
+        x = rng.standard_normal((op.n, 4))
+        block = poly_apply(coeffs, op, x, transpose)
+        columns = [poly_apply(coeffs, op, x[:, j], transpose) for j in range(4)]
+        assert np.array_equal(block, np.column_stack(columns))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_identity_gives_matrix_polynomial(self, op, transpose):
+        coeffs = np.random.default_rng(7).standard_normal(5)
+        s = op.dense().T if transpose else op.dense()
+        expected = sum(c * np.linalg.matrix_power(s, k) for k, c in enumerate(coeffs))
+        got = poly_apply(coeffs, op, np.eye(op.n), transpose)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestFirMatrixFit:
