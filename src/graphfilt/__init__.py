@@ -42,7 +42,6 @@ from .fir import (
     fir_apply,
     fir_design,
     fir_from_json,
-    fir_matrix_fit,
     fir_response,
     fir_to_json,
     poly_apply,

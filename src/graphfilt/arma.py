@@ -59,7 +59,6 @@ class StabilityReport:
     min_denominator_magnitude: float
     stable: bool
     offending: tuple
-    threshold: float
 
 
 def _denominator(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
@@ -90,7 +89,6 @@ def check_stability(
         min_denominator_magnitude=float(np.min(mags)),
         stable=not offending,
         offending=offending,
-        threshold=threshold,
     )
 
 

@@ -96,6 +96,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CsvParseError(f"invalid config JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CsvParseError("config JSON must be an object")
     sub_action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -185,7 +187,11 @@ def _resolve_response(spec: str, grid):
         # experiments pulls in scipy.sparse.csgraph, which apply never needs
         from . import experiments
 
-        return experiments.ideal_lowpass(grid, float(spec.split(":", 1)[1]))
+        try:
+            cutoff = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParameterError(f"lowpass cutoff is not a number: {exc}") from exc
+        return experiments.ideal_lowpass(grid, cutoff)
     if spec.startswith("file:"):
         h = _read_response_csv(spec.split(":", 1)[1])
         if len(h) != grid.n:
@@ -295,6 +301,8 @@ def _cmd_apply(args) -> int:
 def _cmd_experiment(args) -> int:
     from . import experiments
 
+    if args.k_step < 1:
+        raise ParameterError(f"--k-step must be positive, got {args.k_step}")
     if args.kind == "universal":
         report = experiments.universal_study(
             grid_kind=args.grid,

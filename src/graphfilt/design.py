@@ -18,10 +18,8 @@ import numpy as np
 
 from .arma import ArmaFilter, StabilityReport, check_stability
 from .errors import InstabilityError, ParameterError
-from .fir import vandermonde
+from .fir import _LSTSQ_RCOND, _solve_real_lstsq, vandermonde
 from .spectral import COMPLEX_DISC, FrequencyGrid, validate_conjugate_pairs
-
-_LSTSQ_RCOND = 1e-12
 
 PRONY_LS = "prony-ls"
 PRONY_PROJECTION = "prony-projection"
@@ -237,11 +235,7 @@ def _solve_a0_constrained(lhs, rhs, weights, ar_order, b0_zero):
     if weights is not None:
         lhs *= weights[:, None]
         rhs *= weights
-    if lhs.shape[1] == 0:
-        return np.array([1.0]), np.zeros(1 if b0_zero else 0), 0.0, False
-    theta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=_LSTSQ_RCOND)
-    residue = float(np.max(np.abs(theta.imag)))
-    theta = theta.real
+    theta, residue, rank = _solve_real_lstsq(lhs, rhs)
     a = np.concatenate([[1.0], theta[:ar_order]])
     b_tail = theta[ar_order:]
     b = np.concatenate([[0.0], b_tail]) if b0_zero else b_tail
@@ -295,18 +289,9 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
         weighted_b, rcond=_LSTSQ_RCOND
     )
     block_a = projector @ (w[:, None] * (psi_p * h[:, None]))
-    if block_a.shape[1] == 1:
-        a = np.array([1.0])
-        residue_a, deficient = 0.0, False
-    else:
-        theta, _, rank, _ = np.linalg.lstsq(
-            block_a[:, 1:], -block_a[:, 0], rcond=_LSTSQ_RCOND
-        )
-        residue_a = float(np.max(np.abs(theta.imag))) if theta.size else 0.0
-        a = np.concatenate([[1.0], theta.real])
-        deficient = rank < block_a.shape[1] - 1
-
-    warnings = ["rank-deficient"] if deficient else []
+    theta, residue_a, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
+    a = np.concatenate([[1.0], theta])
+    warnings = ["rank-deficient"] if rank < block_a.shape[1] - 1 else []
     alpha = psi_p @ a
     tiny = np.abs(alpha) <= 1e-12 * max(float(np.max(np.abs(alpha))), 1e-30)
     if np.any(tiny):
@@ -315,9 +300,7 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
         warnings.append("denominator-regularized")
     gamma = 1.0 / alpha
     b_lhs = w[:, None] * (gamma[:, None] * psi_b)
-    b_sol, _, _, _ = np.linalg.lstsq(b_lhs, w * h, rcond=_LSTSQ_RCOND)
-    residue_b = float(np.max(np.abs(b_sol.imag))) if b_sol.size else 0.0
-    b_tail = b_sol.real
+    b_tail, residue_b, _ = _solve_real_lstsq(b_lhs, w * h)
     b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
     return _make_report(
         a, b, problem, basis, PRONY_PROJECTION,

@@ -33,7 +33,15 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import FirFilter, fir_apply, fir_design, fir_response, poly_apply, vandermonde
+from .fir import (
+    FirFilter,
+    _solve_real_lstsq,
+    fir_apply,
+    fir_design,
+    fir_response,
+    poly_apply,
+    vandermonde,
+)
 from .graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
@@ -141,8 +149,6 @@ class InterpolationTask:
 
     mask: np.ndarray
     omega: float
-    noise_variance: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
@@ -151,11 +157,6 @@ class InterpolationTask:
             raise ParameterError("at least one entry must be known")
         if not self.omega > 0.0:
             raise ParameterError(f"prior weight must be positive, got {self.omega}")
-
-
-def interpolation_matrix(op: ShiftOperator, task: InterpolationTask) -> np.ndarray:
-    """Dense mask-plus-scaled-Laplacian system matrix (the exact inverse path)."""
-    return np.diag(task.mask.astype(float)) + task.omega * op.dense()
 
 
 def interpolate(
@@ -204,7 +205,6 @@ class QuantizedResidual:
     integer_bits: int
     step: float
     values: np.ndarray
-    sign_bits: int = 1
 
 
 def quantize_residual(residual, total_bits: int) -> QuantizedResidual:
@@ -369,7 +369,7 @@ def compress_fir(op: ShiftOperator, x, order: int):
     psi = vandermonde(grid.lambdas, order + 1)
     stacked = np.vstack([psi.real, psi.imag])
     rhs = np.concatenate([x_hat.real, x_hat.imag])
-    g, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=1e-12)
+    g, _, _ = _solve_real_lstsq(stacked, rhs)
     filt = FirFilter(g=g)
     x_tilde = igft(dec, fir_response(filt, grid)).real
     return filt, x_tilde, rnmse(x_tilde, x)
@@ -388,6 +388,10 @@ class ReportRow:
     method: str
     values: tuple
     seed: int
+
+    def __post_init__(self):
+        if not self.values:
+            raise ParameterError(f"{self.experiment} K={self.k}: no trials to average")
 
     @property
     def mean(self) -> float:

@@ -61,30 +61,26 @@ def vandermonde(lambdas: np.ndarray, cols: int) -> np.ndarray:
     return lambdas[:, None] ** np.arange(cols)[None, :]
 
 
-def _shift_powers(op: ShiftOperator, x, count: int, transpose: bool = False):
-    """Yield S x, S^2 x, ..., S^count x (S^T with transpose), one shift each."""
-    shift = shift_apply_transpose if transpose else shift_apply
-    for _ in range(count):
-        x = shift(op, x)
-        yield x
-
-
 def poly_apply(coeffs, op: ShiftOperator, x, transpose: bool = False) -> np.ndarray:
     """sum c_k S^k x (S^T with transpose) for x of shape (n,) or (n, m).
 
     Costs len(coeffs) - 1 shift applications; each column of a block gets
     exactly the values it would get on its own.
     """
+    shift = shift_apply_transpose if transpose else shift_apply
     out = coeffs[0] * x
-    for c, power in zip(coeffs[1:], _shift_powers(op, x, len(coeffs) - 1, transpose)):
-        out = out + c * power
+    for c in coeffs[1:]:
+        x = shift(op, x)
+        out = out + c * x
     return out
 
 
 def _solve_real_lstsq(matrix, rhs):
-    """Complex least squares whose minimizer is real under pair symmetry.
+    """Least squares whose minimizer is real: the package's one lstsq call.
 
-    Returns (solution, max imaginary residue before truncation, rank).
+    Complex systems are real under pair symmetry up to a residue, which is
+    truncated. Returns (solution, max imaginary residue before truncation,
+    rank); a system with no columns gives an empty solution of rank 0.
     """
     if matrix.shape[1] == 0:
         return np.zeros(0), 0.0, 0
@@ -140,39 +136,6 @@ def fir_apply(filt: FirFilter, op: ShiftOperator, x) -> np.ndarray:
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
     return poly_apply(filt.g, op, x)
-
-
-@dataclass(frozen=True)
-class FirMatrixFit:
-    filter: FirFilter
-    frobenius_error: float
-    rank: int
-    rank_deficient: bool
-
-
-def fir_matrix_fit(target, op: ShiftOperator, order: int) -> FirMatrixFit:
-    """Fit sum g_k S^k to a target matrix in the Frobenius norm.
-
-    Least squares over vectorized shift powers; rank deficiency is reported
-    and the minimum-norm solution returned.
-    """
-    t = np.asarray(target, dtype=float)
-    n = op.n
-    if t.shape != (n, n):
-        raise DimensionError(f"target shape {t.shape} does not match ({n},{n})")
-    if n * n < order + 1:
-        raise ParameterError(f"n^2={n * n} rows cannot fit {order + 1} coefficients")
-    cols = np.empty((n * n, order + 1))
-    eye = np.eye(n)
-    cols[:, 0] = eye.ravel()
-    for k, power in enumerate(_shift_powers(op, eye, order), start=1):
-        cols[:, k] = power.ravel()
-    g, _, rank, _ = np.linalg.lstsq(cols, t.ravel(), rcond=_LSTSQ_RCOND)
-    filt = FirFilter(g=g)
-    err = float(np.linalg.norm(cols @ g - t.ravel()))
-    return FirMatrixFit(
-        filter=filt, frobenius_error=err, rank=int(rank), rank_deficient=rank < order + 1
-    )
 
 
 def fir_to_json(filt: FirFilter) -> str:

@@ -210,75 +210,6 @@ def _spectral_radius(a: sp.csr_array) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
 
 
-# numpy adds a contiguous float row pairwise: a run of at most _PAIRWISE_RUN
-# items goes through _LANES interleaved accumulators, a longer run is split in
-# two at a multiple of _LANES and the halves' sums are added.
-_PAIRWISE_RUN = 128
-_LANES = 8
-
-
-def _pairwise_runs(n: int) -> np.ndarray:
-    """Leaf runs of numpy's pairwise sum over n items, by start.
-
-    Rows of the result are start, length and the run's node number in the
-    split tree, numbered as a binary heap (root 1).
-    """
-    runs, todo = [], [(0, n, 1)]
-    while todo:
-        start, length, node = todo.pop()
-        if length <= _PAIRWISE_RUN:
-            runs.append((start, length, node))
-        else:
-            half = length // 2 - (length // 2) % _LANES
-            todo += [(start, half, 2 * node), (start + half, length - half, 2 * node + 1)]
-    return np.array(sorted(runs)).T
-
-
-def _row_sums(a: sp.csr_array) -> np.ndarray:
-    """Row sums of a canonical CSR matrix, rounded as np.sum(a.toarray(), axis=1).
-
-    The rounding of a dense row sum depends on where the stored entries sit
-    in the row. Replaying numpy's order on the stored entries alone (a zero
-    changes no partial sum) keeps the sparse normalizations bit-identical
-    to the dense ones at O(nnz log n) cost.
-    """
-    start, length, node = _pairwise_runs(a.shape[1])
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    run = np.repeat(np.arange(start.size), length)[a.indices]
-    offset = a.indices - start[run]
-    in_lanes = offset < length[run] - length[run] % _LANES
-    new_pair = np.diff(rows * start.size + run, prepend=-1) != 0
-    pair = np.cumsum(new_pair) - 1
-    first = np.flatnonzero(new_pair)
-
-    # ufunc.at adds repeated indices one by one in entry order, which is
-    # column order: each lane, then the tail after the lanes, is summed
-    # left to right as numpy does
-    lanes = np.zeros((first.size, _LANES))
-    lane = pair[in_lanes] * _LANES + offset[in_lanes] % _LANES
-    np.add.at(lanes.reshape(-1), lane, a.data[in_lanes])
-    total = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + (
-        (lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])
-    )
-    np.add.at(total, pair[~in_lanes], a.data[~in_lanes])
-
-    # add sibling runs' sums up the split tree, deepest level first
-    rows, node = rows[first], node[run[first]]
-    depth = np.frexp(node)[1] - 1
-    while depth.size and depth.max() > 0:
-        deepest = depth == depth.max()
-        node[deepest] //= 2
-        depth[deepest] -= 1
-        left = np.flatnonzero((rows[1:] == rows[:-1]) & (node[1:] == node[:-1]))
-        total[left] += total[left + 1]
-        keep = np.ones(rows.size, dtype=bool)
-        keep[left + 1] = False
-        rows, node, depth, total = rows[keep], node[keep], depth[keep], total[keep]
-    sums = np.zeros(a.shape[0])
-    sums[rows] = total
-    return sums
-
-
 def normalize(graph: Graph, kind: str) -> ShiftOperator:
     """Build the normalized shift operator of a graph.
 
@@ -290,7 +221,7 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
     a = graph.adjacency()
     if kind == NORMALIZED_ADJACENCY:
         radius = _spectral_radius(a)
-        row_sum = float(np.max(_row_sums(abs(a))))
+        row_sum = float(np.max(abs(a).sum(axis=1)))
         fallback = radius <= _NILPOTENT_REL_TOL * max(row_sum, 1.0)
         norm = row_sum if fallback else radius
         if norm <= 0.0:
@@ -304,7 +235,7 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
     if kind == NORMALIZED_LAPLACIAN:
         if graph.directed:
             raise ParameterError("normalized Laplacian requires an undirected graph")
-        deg = _row_sums(a)
+        deg = a.sum(axis=1)
         if np.any(deg <= 0.0):
             bad = int(np.argmin(deg))
             raise ZeroDegreeError(f"node {bad} has zero degree")
@@ -366,15 +297,6 @@ def is_symmetric(op: ShiftOperator, tol: float = 1e-12) -> bool:
     return float(abs(d).max()) <= tol * scale
 
 
-def normality_defect(op: ShiftOperator) -> float:
-    """Frobenius norm of S S^T - S^T S; zero iff the operator is normal.
-
-    Recorded as a diagnostic only: nothing downstream requires normality.
-    """
-    a = op.dense()
-    return float(np.linalg.norm(a @ a.T - a.T @ a))
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -400,12 +322,13 @@ def graph_from_json(text: str) -> Graph:
     for key in ("n", "directed", "edges"):
         if key not in payload:
             raise CsvParseError(f"graph JSON missing key {key!r}")
+    n, directed = payload["n"], payload["directed"]
+    if type(n) is not int:  # a float or a bool is no node count
+        raise CsvParseError(f"graph JSON node count is not an integer: {n!r}")
+    if type(directed) is not bool:  # bool("false") is True
+        raise CsvParseError(f"graph JSON 'directed' is not true or false: {directed!r}")
     try:
-        n = int(payload["n"])
-    except (TypeError, ValueError) as exc:
-        raise CsvParseError(f"graph JSON node count is not an integer: {exc}") from exc
-    try:
-        return Graph(n=n, edges=payload["edges"], directed=bool(payload["directed"]))
+        return Graph(n=n, edges=payload["edges"], directed=directed)
     except ParameterError as exc:
         raise CsvParseError(f"invalid graph JSON: {exc}") from exc
 

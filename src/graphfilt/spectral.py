@@ -161,10 +161,6 @@ class FrequencyGrid:
         return len(self.lambdas)
 
     @property
-    def real_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.pair == np.arange(self.n))
-
-    @property
     def all_real(self) -> bool:
         return bool(np.all(self.lambdas.imag == 0.0))
 

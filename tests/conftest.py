@@ -28,13 +28,23 @@ def power_iteration_radius(matrix, iterations=2000, seed=0):
 
 
 def dense_normalized_laplacian(graph):
-    """Dense D^{-1/2} (D - A) D^{-1/2}: the sparse normalize must match it bit for bit."""
+    """Dense D^{-1/2} (D - A) D^{-1/2}, symmetrized as normalize does.
+
+    The sparse normalize must match it bit for bit on integer weights, where
+    every degree is an exact sum, and to a few ulp on other weights, where
+    the dense and sparse row sums may round in a different order.
+    """
     a = graph.adjacency().toarray()
     deg = np.sum(a, axis=1)
     dinv = 1.0 / np.sqrt(deg)
     lap = np.diag(deg) - a
     s = (dinv[:, None] * lap) * dinv[None, :]
     return sp.csr_array((s + s.T) / 2.0)
+
+
+def interpolation_matrix(op, task):
+    """Dense mask-plus-scaled-Laplacian system matrix (the exact inverse path)."""
+    return np.diag(task.mask.astype(float)) + task.omega * op.dense()
 
 
 def triu_er_edges(n, p, seed):

@@ -38,14 +38,13 @@ from graphfilt.experiments import (
     experiment_graphs,
     ideal_lowpass,
     interpolate,
-    interpolation_matrix,
     interpolation_study,
     prediction_study,
     smooth_signal,
 )
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 
-from conftest import random_pair_symmetric, random_stable_arma
+from conftest import interpolation_matrix, random_pair_symmetric, random_stable_arma
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

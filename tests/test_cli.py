@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,28 @@ class TestMalformedApplyInput:
                     "-o", str(tmp_path / "f.json")])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["design", "--method", "fir", "--k", "2", "--grid", "uniform-real",
+                      "--response", "lowpass:abc"], None, id="lowpass-cutoff-not-number"),
+        pytest.param(["experiment", "universal", "--k-step", "0"], None, id="k-step-zero"),
+        pytest.param(["experiment", "universal", "--grid", "er-spectrum", "--trials", "0"],
+                     None, id="er-spectrum-zero-trials"),
+        pytest.param(["experiment", "universal"], "[]", id="config-list"),
+    ])
+    def test_exits_with_parse_code(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "out"
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ["-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_import_leaves_experiments_unloaded():

@@ -27,7 +27,6 @@ from graphfilt.experiments import (
     experiment_graphs,
     ideal_lowpass,
     interpolate,
-    interpolation_matrix,
     interpolation_study,
     predict,
     prediction_study,
@@ -38,6 +37,8 @@ from graphfilt.experiments import (
 )
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 from graphfilt.spectral import complex_disc_grid, uniform_real_grid
+
+from conftest import interpolation_matrix
 
 
 def laplacian_op(n=32, seed=42):

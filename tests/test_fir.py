@@ -11,7 +11,6 @@ from graphfilt import (
     fir_apply,
     fir_design,
     fir_from_json,
-    fir_matrix_fit,
     fir_response,
     fir_to_json,
     gft,
@@ -25,9 +24,7 @@ from graphfilt.experiments import ideal_lowpass
 from graphfilt.graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
-    Graph,
     build_knn_directed,
-    custom_operator,
 )
 
 from conftest import random_pair_symmetric
@@ -174,38 +171,6 @@ class TestPolyApply:
         expected = sum(c * np.linalg.matrix_power(s, k) for k, c in enumerate(coeffs))
         got = poly_apply(coeffs, op, np.eye(op.n), transpose)
         assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-class TestFirMatrixFit:
-    def test_recovers_shift_itself(self):
-        op = normalize(build_er_graph(12, 0.4, 2), NORMALIZED_LAPLACIAN)
-        fit = fir_matrix_fit(op.dense(), op, 1)
-        assert np.allclose(fit.filter.g, [0.0, 1.0], atol=1e-10)
-        assert fit.frobenius_error <= 1e-10
-
-    def test_recovers_identity(self):
-        op = normalize(build_er_graph(12, 0.4, 2), NORMALIZED_LAPLACIAN)
-        fit = fir_matrix_fit(np.eye(12), op, 0)
-        assert np.allclose(fit.filter.g, [1.0], atol=1e-12)
-
-    def test_nested_orders_reduce_residual(self):
-        # 8-node path graph; target is the interpolation inverse
-        edges = []
-        for i in range(7):
-            edges += [(i, i + 1, 1.0), (i + 1, i, 1.0)]
-        op = normalize(Graph(n=8, edges=tuple(edges), directed=False), NORMALIZED_LAPLACIAN)
-        mask = np.zeros(8)
-        mask[[0, 3, 6]] = 1.0
-        target = np.linalg.inv(np.diag(mask) + 1.0 * op.dense())
-        low = fir_matrix_fit(target, op, 2).frobenius_error
-        high = fir_matrix_fit(target, op, 4).frobenius_error
-        assert high < low
-
-    def test_rank_deficiency_reported(self):
-        op = custom_operator(np.eye(4))
-        fit = fir_matrix_fit(np.eye(4), op, 2)  # I, S, S^2 all identical
-        assert fit.rank_deficient
-        assert fit.frobenius_error <= 1e-12
 
 
 def test_json_round_trip():

@@ -1,9 +1,10 @@
-"""Source-layout guards: the polynomial basis and dense operators stay where
-they belong.
+"""Source-layout guards: the polynomial basis, dense operators and the
+least-squares solve stay where they belong.
 
-`fir.py` is the only module that builds a Vandermonde matrix, and only the
-eigendecomposition and the exact-solve oracles may densify a shift operator;
-everything else applies it through sparse shift products.
+`fir.py` is the only module that builds a Vandermonde matrix, only the
+eigendecomposition may densify a shift operator (everything else applies it
+through sparse shift products; the dense oracles live in the tests), and
+`fir._solve_real_lstsq` is the one caller of `np.linalg.lstsq`.
 """
 
 import ast
@@ -11,11 +12,8 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphfilt"
-DENSE_ALLOWED = {
-    "spectral.eigendecompose",
-    "experiments.interpolation_matrix",
-    "graphs.normality_defect",
-}
+DENSE_ALLOWED = {"spectral.eigendecompose"}
+LSTSQ_ALLOWED = {"fir._solve_real_lstsq"}
 
 
 def sources():
@@ -24,11 +22,13 @@ def sources():
     return paths
 
 
-class DenseCalls(ast.NodeVisitor):
-    """Dotted names of the scopes that call `.dense()`, one per call."""
+class Calls(ast.NodeVisitor):
+    """Dotted names of the scopes that call a function of a given name, one
+    per call, whether it is called bare or as an attribute."""
 
-    def __init__(self, module):
+    def __init__(self, module, name):
         self.scope = [module]
+        self.name = name
         self.found = []
 
     def visit_FunctionDef(self, node):
@@ -39,9 +39,20 @@ class DenseCalls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "dense":
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if called == self.name:
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
+
+
+def callers(name):
+    found = []
+    for path in sources():
+        visitor = Calls(path.stem, name)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    return found
 
 
 def test_vandermonde_is_built_once_in_fir():
@@ -57,9 +68,8 @@ def test_vandermonde_is_built_once_in_fir():
 
 
 def test_dense_operator_only_in_oracles_and_eigendecomposition():
-    callers = []
-    for path in sources():
-        visitor = DenseCalls(path.stem)
-        visitor.visit(ast.parse(path.read_text()))
-        callers += visitor.found
-    assert set(callers) - DENSE_ALLOWED == set(), "apply shifts with shift_apply"
+    assert set(callers("dense")) - DENSE_ALLOWED == set(), "apply shifts with shift_apply"
+
+
+def test_lstsq_called_only_by_the_real_solve():
+    assert callers("lstsq") == sorted(LSTSQ_ALLOWED), "solve with fir._solve_real_lstsq"
