@@ -303,11 +303,14 @@ def _cmd_experiment(args) -> int:
 
     if args.k_step < 1:
         raise ParameterError(f"--k-step must be positive, got {args.k_step}")
+    k_values = tuple(range(args.k_min, args.k_max + 1, args.k_step))
+    if not k_values and args.kind != "interpolation":
+        raise ParameterError(f"empty order range: --k-min {args.k_min} > --k-max {args.k_max}")
     if args.kind == "universal":
         report = experiments.universal_study(
             grid_kind=args.grid,
             n_points=args.grid_size,
-            k_values=list(range(args.k_min, args.k_max + 1, args.k_step)),
+            k_values=list(k_values),
             seed=args.seed,
             er_trials=args.trials,
         )
@@ -315,13 +318,13 @@ def _cmd_experiment(args) -> int:
         report = experiments.interpolation_study(trials=args.trials, seed=args.seed)
     elif args.kind == "compression":
         report = experiments.compression_study(
-            k_values=tuple(range(args.k_min, args.k_max + 1, args.k_step)),
+            k_values=k_values,
             trials=args.trials,
             seed=args.seed,
         )
     elif args.kind == "prediction":
         report = experiments.prediction_study(
-            k_values=tuple(range(args.k_min, args.k_max + 1, args.k_step)),
+            k_values=k_values,
             trials=args.trials,
             seed=args.seed,
         )

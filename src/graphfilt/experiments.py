@@ -76,6 +76,8 @@ def ideal_lowpass(grid, cutoff: float = 1.0) -> np.ndarray:
     Real grids threshold the frequency value; complex grids pass every
     frequency within `cutoff` of the point (1, 0).
     """
+    if math.isnan(cutoff):  # every comparison with NaN is false: an all-stop target
+        raise ParameterError("lowpass cutoff is NaN")
     if grid.all_real:
         return (grid.lambdas.real <= cutoff).astype(complex)
     return (np.abs(grid.lambdas - 1.0) <= cutoff).astype(complex)

@@ -1,8 +1,10 @@
 """Graph construction, ingestion, and shift operators.
 
-Graphs store their arcs as numpy arrays; the shift operator wraps a sparse
-matrix (normalized adjacency or normalized Laplacian) and is applied
-matrix-free at O(E) cost per product.
+Graphs store their arcs as numpy arrays; the shift operator (normalized
+adjacency or normalized Laplacian) holds its own CSR arrays and is applied
+matrix-free at O(E) cost per product. The module needs only numpy: scipy is
+imported on the first use of `ShiftOperator.matrix`, which block products and
+long runs of single products go through.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CsvParseError,
@@ -31,6 +33,17 @@ CUSTOM = "custom"
 # Spectral radius below this fraction of the max row sum is treated as
 # nilpotent and triggers the row-sum normalization fallback.
 _NILPOTENT_REL_TOL = 1e-12
+
+# Single products run in numpy until an operator has visited this many arcs
+# in them, and through scipy's compiled kernel after that. Importing
+# scipy.sparse costs about 0.3 s, and numpy's product costs 4-7.5 ns per arc
+# more than scipy's (2-core x86: 250 against 85 us at 39k arcs, 2.5 against
+# 0.58 ms at 259k), so the import pays for itself after 4e7-7e7 arc visits.
+# The switch sits at the low end, so a long solve loses at most about the
+# import cost to a run that imports scipy up front, while an apply of up to
+# ~1000 products on a 39k-arc graph never loads scipy. Both kernels give
+# bit-identical products, so the switch changes only the time.
+_SCIPY_AFTER_ARC_VISITS = 40_000_000
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -90,13 +103,20 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "directed", directed)
         if not directed:
-            a = self.adjacency()
-            rows, cols = (a != a.T).nonzero()
-            if rows.size:
-                i, j = int(rows[0]), int(cols[0])
+            keys, values = _coalesce(n, self.src, self.dst, w)
+            mirror, mirrored = _mirror(n, keys, values)
+            bad = np.flatnonzero(values != mirrored)
+            if bad.size:
+                # the first offending (i, j) in row-major order may be the
+                # unstored mirror of a stored arc
+                k = bad[np.argmin(np.minimum(keys[bad], mirror[bad]))]
+                here, there = values[k], mirrored[k]
+                if mirror[k] < keys[k]:
+                    here, there = there, here
+                i, j = divmod(int(min(keys[k], mirror[k])), n)
                 raise ParameterError(
-                    f"undirected graph is not symmetric: A[{i},{j}]={a[i, j]} "
-                    f"but A[{j},{i}]={a[j, i]}"
+                    f"undirected graph is not symmetric: A[{i},{j}]={here} "
+                    f"but A[{j},{i}]={there}"
                 )
 
     @property
@@ -109,35 +129,114 @@ class Graph:
         """Number of stored directed arcs (undirected edges count twice)."""
         return self.src.size
 
-    def adjacency(self) -> sp.csr_array:
-        """Sparse adjacency with A[i, j] = summed weight of the arcs i -> j."""
-        # 32-bit indices, where n allows, halve the index bytes every shift
-        # product reads
-        index = np.int32 if self.n <= np.iinfo(np.int32).max else np.int64
-        ends = (self.src.astype(index), self.dst.astype(index))
-        return sp.csr_array(sp.coo_array((self.w, ends), shape=(self.n, self.n)))
+
+def _index_dtype(n: int, nnz: int):
+    # 32-bit indices, where n and nnz allow, halve the index bytes every
+    # product reads, as scipy would pick
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
-@dataclass(frozen=True)
+def _coalesce(n: int, rows, cols, values):
+    """Distinct positions of the (row, col) entries as sorted row-major keys
+    row * n + col, with the values at a repeated position summed."""
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")  # linear on already sorted runs
+    keys, values = keys[order], values[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(values, first)
+
+
+def _mirror(n: int, keys, values):
+    """Key (j, i) of every distinct key (i, j), and the value stored at it
+    (0 where nothing is)."""
+    i, j = np.divmod(keys, n)
+    mirror = j * n + i
+    mirrored = np.zeros_like(values)
+    if keys.size:
+        order = np.argsort(mirror)  # sorted needles make the search cheap
+        wanted = mirror[order]
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        mirrored[order] = np.where(keys[at] == wanted, values[at], 0.0)
+    return mirror, mirrored
+
+
+@dataclass(frozen=True, eq=False)
 class ShiftOperator:
-    """A graph shift operator: a real matrix applied matrix-free.
+    """A graph shift operator: a real n x n matrix in CSR arrays, applied
+    matrix-free.
 
-    spectral_norm is the constant the raw matrix was divided by
-    (1.0 when no scaling was applied); norm_fallback flags the nilpotent
-    row-sum fallback.
+    Row i holds the entries data[indptr[i]:indptr[i+1]] in the columns
+    indices[indptr[i]:indptr[i+1]]; rows[e] is the row of entry e. The
+    arrays are read-only. spectral_norm is the constant the raw matrix was
+    divided by (1.0 when no scaling was applied); norm_fallback flags the
+    nilpotent row-sum fallback.
     """
 
     kind: str
-    matrix: sp.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     spectral_norm: float
     norm_fallback: bool = False
+    rows: np.ndarray = field(init=False, repr=False)
+    # arc visits of the numpy single-product kernel so far
+    _visits: int = field(init=False, repr=False, default=0)
+
+    def __post_init__(self):
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        object.__setattr__(self, "rows", rows)
+        for values in (self.indptr, self.indices, self.data, self.rows):
+            values.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @cached_property
+    def matrix(self):
+        """scipy.sparse.csr_array over the same arrays, imported and built on
+        first use."""
+        import scipy.sparse as sp
+
+        return sp.csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros((self.n, self.n))
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
+
+    @cached_property
+    def _symmetry_gap(self) -> tuple:
+        """(max |S - S^T|, max(max |S|, 1)), with repeated entries summed."""
+        keys, values = _coalesce(self.n, self.rows, self.indices, self.data)
+        _, mirrored = _mirror(self.n, keys, values)
+        gap = float(np.max(np.abs(values - mirrored), initial=0.0))
+        return gap, max(float(np.max(np.abs(values), initial=0.0)), 1.0)
+
+    def _numpy_product(self, x: np.ndarray) -> bool:
+        """Whether a product with x runs in numpy: single real signals, until
+        the operator's numpy arc visits pass the scipy switch point."""
+        if x.ndim != 1 or np.iscomplexobj(x) or self._visits >= _SCIPY_AFTER_ARC_VISITS:
+            return False
+        object.__setattr__(self, "_visits", self._visits + self.nnz)
+        return True
+
+
+def _operator(kind: str, n: int, keys, values, spectral_norm: float = 1.0,
+              norm_fallback: bool = False) -> ShiftOperator:
+    """Shift operator from sorted row-major keys row * n + col; zeros dropped."""
+    keep = values != 0.0
+    rows, cols = np.divmod(keys[keep], n)
+    index = _index_dtype(n, rows.size)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return ShiftOperator(kind=kind, indptr=indptr, indices=cols.astype(index),
+                         data=values[keep], spectral_norm=spectral_norm,
+                         norm_fallback=norm_fallback)
 
 
 def build_er_graph(n: int, p: float, seed: int) -> Graph:
@@ -206,8 +305,19 @@ def symmetrize_max(graph: Graph) -> Graph:
     return Graph.from_arcs(graph.n, src, dst, np.repeat(best, 2), directed=False)
 
 
-def _spectral_radius(a: sp.csr_array) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
+def _row_sums(n: int, rows, values) -> np.ndarray:
+    """Row sums of row-major entries, each row reduced by np.add.reduceat as
+    scipy's CSR sum does, so weighted degrees round as they always have."""
+    sums = np.zeros(n)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sums[rows[starts]] = np.add.reduceat(values, starts)
+    return sums
+
+
+def _spectral_radius(n: int, rows, cols, values) -> float:
+    a = np.zeros((n, n))
+    a[rows, cols] = values
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def normalize(graph: Graph, kind: str) -> ShiftOperator:
@@ -218,57 +328,53 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
     D^{-1/2} (D - A) D^{-1/2} and requires an undirected graph with no
     isolated nodes.
     """
-    a = graph.adjacency()
+    n = graph.n
+    keys, a = _coalesce(n, graph.src, graph.dst, graph.w)
+    rows, cols = np.divmod(keys, n)
     if kind == NORMALIZED_ADJACENCY:
-        radius = _spectral_radius(a)
-        row_sum = float(np.max(abs(a).sum(axis=1)))
+        radius = _spectral_radius(n, rows, cols, a)
+        row_sum = float(np.max(_row_sums(n, rows, np.abs(a))))
         fallback = radius <= _NILPOTENT_REL_TOL * max(row_sum, 1.0)
         norm = row_sum if fallback else radius
         if norm <= 0.0:
             raise ZeroNormError("adjacency matrix is zero; nothing to normalize")
-        return ShiftOperator(
-            kind=kind,
-            matrix=_canonical(a, a.data / norm),
-            spectral_norm=norm,
-            norm_fallback=fallback,
-        )
+        return _operator(kind, n, keys, a / norm, spectral_norm=norm, norm_fallback=fallback)
     if kind == NORMALIZED_LAPLACIAN:
         if graph.directed:
             raise ParameterError("normalized Laplacian requires an undirected graph")
-        deg = a.sum(axis=1)
+        deg = _row_sums(n, rows, a)
         if np.any(deg <= 0.0):
             bad = int(np.argmin(deg))
             raise ZeroDegreeError(f"node {bad} has zero degree")
         dinv = 1.0 / np.sqrt(deg)
-        lap = sp.csr_array(sp.diags_array(deg) - a)
-        rows = np.repeat(np.arange(graph.n), np.diff(lap.indptr))
-        s = _canonical(lap, (dinv[rows] * lap.data) * dinv[lap.indices])
-        s = s + s.T
-        return ShiftOperator(kind=kind, matrix=_canonical(s, s.data / 2.0), spectral_norm=1.0)
+        # D - A: each degree joins its diagonal entry, less any self-loop
+        diagonal = np.arange(n)
+        keys, lap = _coalesce(n, np.concatenate([rows, diagonal]),
+                              np.concatenate([cols, diagonal]), np.concatenate([-a, deg]))
+        rows, cols = np.divmod(keys, n)
+        # (S + S^T) / 2, exactly symmetric however the products rounded; the
+        # mirror entry needs no lookup, as D - A is exactly symmetric
+        s = (dinv[rows] * lap) * dinv[cols] + (dinv[cols] * lap) * dinv[rows]
+        return _operator(kind, n, keys, s / 2.0)
     raise ParameterError(f"unknown shift kind {kind!r}")
 
 
-def _canonical(pattern: sp.csr_array, data: np.ndarray) -> sp.csr_array:
-    """CSR matrix with pattern's structure and new values, zeros dropped,
-    as converting the dense matrix would give."""
-    m = sp.csr_array((data, pattern.indices, pattern.indptr), shape=pattern.shape, copy=True)
-    m.eliminate_zeros()
-    m.sort_indices()
-    return m
-
-
 def custom_operator(matrix) -> ShiftOperator:
-    """Wrap an arbitrary real square matrix as a shift operator."""
-    m = np.asarray(matrix, dtype=float) if not sp.issparse(matrix) else matrix
-    if sp.issparse(m):
-        m = sp.csr_array(m)
+    """Wrap an arbitrary real square matrix, dense or scipy.sparse, as a shift
+    operator."""
+    if hasattr(matrix, "tocsr"):  # scipy.sparse, read without importing scipy here
+        m = matrix.tocsr()
         if m.shape[0] != m.shape[1]:
             raise ParameterError("shift operator must be square")
-    else:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("shift operator must be square")
-        m = sp.csr_array(m)
-    return ShiftOperator(kind=CUSTOM, matrix=m, spectral_norm=1.0)
+        index = _index_dtype(m.shape[0], m.nnz)
+        return ShiftOperator(kind=CUSTOM, indptr=m.indptr.astype(index),
+                             indices=m.indices.astype(index),
+                             data=np.array(m.data, dtype=float), spectral_norm=1.0)
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParameterError("shift operator must be square")
+    rows, cols = np.nonzero(m)
+    return _operator(CUSTOM, m.shape[0], rows * m.shape[0] + cols, m[rows, cols])
 
 
 def _check_signals(op: ShiftOperator, x) -> np.ndarray:
@@ -280,21 +386,30 @@ def _check_signals(op: ShiftOperator, x) -> np.ndarray:
 
 
 def shift_apply(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
-    """S @ x without forming dense powers; O(E) per signal column."""
-    return op.matrix @ _check_signals(op, x)
+    """S @ x without forming dense powers; O(E) per signal column.
+
+    Each row of a single real signal's product is summed in storage order,
+    as scipy's csr_matvec does, so either kernel gives the same bits.
+    """
+    x = _check_signals(op, x)
+    if op._numpy_product(x):
+        return np.bincount(op.rows, weights=op.data * x.take(op.indices), minlength=op.n)
+    return op.matrix @ x
 
 
 def shift_apply_transpose(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S.T @ x, used by the normal-equations CG fallback."""
-    return op.matrix.T @ _check_signals(op, x)
+    x = _check_signals(op, x)
+    if op._numpy_product(x):
+        return np.bincount(op.indices, weights=op.data * x.take(op.rows), minlength=op.n)
+    return op.matrix.T @ x
 
 
 def is_symmetric(op: ShiftOperator, tol: float = 1e-12) -> bool:
-    d = op.matrix - op.matrix.T
-    if d.nnz == 0:
-        return True
-    scale = max(float(abs(op.matrix).max()), 1.0)
-    return float(abs(d).max()) <= tol * scale
+    """max |S - S^T| within tol times max(max |S|, 1); an entry with no
+    mirror counts against a zero."""
+    gap, scale = op._symmetry_gap
+    return gap == 0.0 or gap <= tol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,12 @@ def power_iteration_radius(matrix, iterations=2000, seed=0):
     return radius
 
 
+def dense_adjacency(graph):
+    """Dense A with A[i, j] = summed weight of the arcs i -> j."""
+    a = sp.coo_array((graph.w, (graph.src, graph.dst)), shape=(graph.n, graph.n))
+    return a.toarray()
+
+
 def dense_normalized_laplacian(graph):
     """Dense D^{-1/2} (D - A) D^{-1/2}, symmetrized as normalize does.
 
@@ -34,7 +40,7 @@ def dense_normalized_laplacian(graph):
     every degree is an exact sum, and to a few ulp on other weights, where
     the dense and sparse row sums may round in a different order.
     """
-    a = graph.adjacency().toarray()
+    a = dense_adjacency(graph)
     deg = np.sum(a, axis=1)
     dinv = 1.0 / np.sqrt(deg)
     lap = np.diag(deg) - a

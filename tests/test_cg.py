@@ -17,7 +17,7 @@ from graphfilt import (
     normalize,
     trace_to_csv,
 )
-from graphfilt import fir
+from graphfilt import fir, graphs
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 
 from conftest import random_stable_arma
@@ -143,6 +143,30 @@ class TestArmaApplyCg:
         assert calls["shift_apply"] == ma + ar * products
         assert sum(calls.values()) == trace.shift_applications
         assert trace.shift_applications == ma + ar * products * (1 if symmetric else 2)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["laplacian", "knn-adjacency"])
+    def test_scipy_switch_mid_solve_changes_no_bit(self, tmp_path, monkeypatch, symmetric):
+        # the solve that switches from the numpy kernels to scipy's after 10
+        # products writes the bytes of the solve that never switches
+        rng = np.random.default_rng(13)
+        graph = (build_er_graph(80, 0.1, 4) if symmetric
+                 else build_knn_directed(rng.random((60, 2)) * 3, 5))
+        kind = NORMALIZED_LAPLACIAN if symmetric else NORMALIZED_ADJACENCY
+        a, b = random_stable_arma(rng, 3, 2)
+        x = rng.standard_normal(graph.n)
+        cfg = CgConfig(epsilon=1e-10, max_iterations=80)
+        outputs = []
+        for switch in (None, 10):
+            op = normalize(graph, kind)
+            if switch is not None:
+                monkeypatch.setattr(graphs, "_SCIPY_AFTER_ARC_VISITS", switch * op.nnz)
+            y, trace = arma_apply_cg(ArmaFilter(a=a, b=b), op, x, cfg)
+            # the scipy view is built exactly when the switch is crossed
+            assert ("matrix" in vars(op)) == (switch is not None)
+            assert trace.shift_applications > 2 * 10
+            trace_to_csv(trace, tmp_path / "trace.csv")
+            outputs.append((y.tobytes(), (tmp_path / "trace.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_normal_equations_match_direct_solve(self):
         rng = np.random.default_rng(11)

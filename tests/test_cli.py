@@ -236,7 +236,15 @@ class TestBadValues:
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["design", "--method", "fir", "--k", "2", "--grid", "uniform-real",
                       "--response", "lowpass:abc"], None, id="lowpass-cutoff-not-number"),
+        pytest.param(["design", "--method", "fir", "--k", "4", "--grid", "uniform-real",
+                      "--response", "lowpass:nan"], None, id="lowpass-cutoff-nan"),
         pytest.param(["experiment", "universal", "--k-step", "0"], None, id="k-step-zero"),
+        pytest.param(["experiment", "universal", "--k-min", "5", "--k-max", "2"], None,
+                     id="universal-empty-k-range"),
+        pytest.param(["experiment", "compression", "--k-min", "8", "--k-max", "4"], None,
+                     id="compression-empty-k-range"),
+        pytest.param(["experiment", "prediction", "--k-min", "5", "--k-max", "3"], None,
+                     id="prediction-empty-k-range"),
         pytest.param(["experiment", "universal", "--grid", "er-spectrum", "--trials", "0"],
                      None, id="er-spectrum-zero-trials"),
         pytest.param(["experiment", "universal"], "[]", id="config-list"),
@@ -254,16 +262,37 @@ class TestBadValues:
         assert not out.exists()
 
 
-def test_import_leaves_experiments_unloaded():
-    # apply never needs the experiments module or the scipy.sparse.csgraph
-    # it imports, so loading the CLI must not pay for them
-    code = ("import sys, graphfilt.cli; "
-            "print([m for m in ('graphfilt.experiments', 'scipy.sparse.csgraph') "
-            "if m in sys.modules])")
+def test_import_leaves_experiments_unloaded(tmp_path, er_graph_file):
+    # importing the CLI and running `apply --solver cg` load neither the
+    # experiments module nor any scipy module: ARMA and FIR, on a Laplacian
+    # and on a directed adjacency (normal-equations CG)
+    points = np.random.default_rng(1).random((20, 2)).tolist()
+    coords = tmp_path / "c.csv"
+    rows = "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(points))
+    coords.write_text("id,x,y\n" + rows)
+    knn = tmp_path / "knn.json"
+    assert run(["gen-graph", "--knn", "4", "--coords", str(coords), "-o", str(knn)]) == 0
+    (tmp_path / "arma.json").write_text('{"type": "arma", "a": [1.0, 0.3], "b": [0.5, 0.2]}')
+    (tmp_path / "fir.json").write_text('{"type": "fir", "g": [0.5, 0.3, 0.1]}')
+    applies = []
+    for graph, shift, n in ((er_graph_file, "laplacian", 24), (knn, "adjacency", 20)):
+        write_signal(tmp_path / f"x{n}.csv", np.linspace(-1.0, 1.0, n))
+        for filt in ("arma", "fir"):
+            applies.append(["apply", "--solver", "cg", "--shift", shift, "--graph", str(graph),
+                            "--filter", str(tmp_path / f"{filt}.json"),
+                            "--input", str(tmp_path / f"x{n}.csv"),
+                            "--trace", str(tmp_path / f"{shift}-{filt}.trace.csv"),
+                            "-o", str(tmp_path / f"{shift}-{filt}.csv")])
+    code = ("import sys, graphfilt.cli as cli; "
+            f"codes = [cli.main(argv) for argv in {applies!r}]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'graphfilt.experiments'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"
+    assert all((tmp_path / f"{s}-{f}.csv").exists() for s in ("laplacian", "adjacency")
+               for f in ("arma", "fir"))
 
 
 class TestErrorCodeMapping:

@@ -24,13 +24,27 @@ from graphfilt import (
     symmetrize_max,
 )
 from graphfilt.errors import CsvParseError
-from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN, is_symmetric
+from graphfilt.graphs import (
+    NORMALIZED_ADJACENCY,
+    NORMALIZED_LAPLACIAN,
+    is_symmetric,
+    shift_apply_transpose,
+)
 
-from conftest import dense_normalized_laplacian, power_iteration_radius, triu_er_edges
+from conftest import (
+    dense_adjacency,
+    dense_normalized_laplacian,
+    power_iteration_radius,
+    triu_er_edges,
+)
 
 
 def two_path():
     return Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+
+
+def directed_knn(n, k, seed):
+    return build_knn_directed(np.random.default_rng(seed).random((n, 2)) * 3, k=k)
 
 
 def weighted_er(n, p, seed):
@@ -102,7 +116,7 @@ class TestKnn:
     def test_symmetrized_adjacency_is_symmetric(self):
         rng = np.random.default_rng(3)
         g = symmetrize_max(build_knn_directed(rng.random((20, 2)) * 3, k=4))
-        a = g.adjacency().toarray()
+        a = dense_adjacency(g)
         assert np.array_equal(a, a.T)
 
 
@@ -220,6 +234,49 @@ class TestShiftApply:
             shift_apply(op, np.ones(4))
 
 
+class TestProductKernels:
+    """The numpy kernels for one signal give the bits of scipy's CSR products."""
+
+    @pytest.mark.parametrize("make, kind", [
+        pytest.param(lambda: build_er_graph(300, 0.05, 1), NORMALIZED_LAPLACIAN,
+                     id="unit-er-laplacian"),
+        pytest.param(lambda: weighted_er(300, 0.05, 1), NORMALIZED_LAPLACIAN,
+                     id="weighted-er-laplacian"),
+        pytest.param(lambda: directed_knn(200, 6, 3), NORMALIZED_ADJACENCY,
+                     id="knn-adjacency"),
+        # node 3 has an in-arc but no out-arc: row 3 is empty
+        pytest.param(lambda: Graph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5),
+                                               (2, 3, 1.5)), directed=True),
+                     NORMALIZED_ADJACENCY, id="empty-row"),
+    ])
+    def test_bit_identical_to_scipy(self, make, kind):
+        op = normalize(make(), kind)
+        x = np.random.default_rng(0).standard_normal(op.n)
+        y, yt = shift_apply(op, x), shift_apply_transpose(op, x)
+        assert "matrix" not in vars(op), "the products ran on scipy"
+        assert np.array_equal(y, op.matrix @ x)
+        assert np.array_equal(yt, op.matrix.T @ x)
+
+
+class TestSymmetry:
+    def test_asymmetry_reports_first_offending_pair(self):
+        # A[1,0] = 2 has no mirror; the first offending (i, j) in row-major
+        # order is the unstored (0, 1)
+        with pytest.raises(ParameterError, match=r"A\[0,1\]=0.0 but A\[1,0\]=2.0"):
+            Graph(n=3, edges=((1, 0, 2.0), (1, 2, 1.0), (2, 1, 1.0)), directed=False)
+
+    @pytest.mark.parametrize("entries, tol, expected", [
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], 0.0, True, id="exact"),
+        pytest.param([[0.0, 1.0], [1.0 + 1e-13, 0.0]], 1e-12, True, id="within-tol"),
+        pytest.param([[0.0, 1.0], [1.0 + 1e-13, 0.0]], 1e-14, False, id="outside-tol"),
+        pytest.param([[0.0, 1e-13], [0.0, 0.0]], 1e-12, True, id="one-sided-small"),
+        pytest.param([[0.0, 1e-3], [0.0, 0.0]], 1e-12, False, id="one-sided-large"),
+        pytest.param([[0.0, 4.0], [4.0 + 1e-12, 0.0]], 1e-12, True, id="scaled-by-max"),
+    ])
+    def test_is_symmetric_tolerance(self, entries, tol, expected):
+        assert is_symmetric(custom_operator(np.array(entries)), tol) is expected
+
+
 class TestGraphValidation:
     def test_missing_reverse_edge_rejected(self):
         with pytest.raises(ParameterError):
@@ -237,7 +294,7 @@ class TestGraphValidation:
         # repeated arcs add up: two unit arcs 0 -> 1 mirror one arc 1 -> 0 of
         # weight 2, while arcs of weights 1 and 2 do not
         g = Graph(n=2, edges=((0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)), directed=False)
-        assert g.adjacency().toarray().tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert dense_adjacency(g).tolist() == [[0.0, 2.0], [2.0, 0.0]]
         with pytest.raises(ParameterError):
             Graph(n=2, edges=((0, 1, 1.0), (0, 1, 2.0), (1, 0, 2.0)), directed=False)
 
@@ -272,7 +329,7 @@ class TestFileFormats:
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\n0,1,2.5\n1,2,1.0\n")
         g = read_edge_csv(path, directed=False)
-        a = g.adjacency().toarray()
+        a = dense_adjacency(g)
         assert a[0, 1] == 2.5 and a[1, 0] == 2.5
         assert a[1, 2] == 1.0 and a[2, 1] == 1.0
 
