@@ -23,7 +23,8 @@ from .graphs import ShiftOperator
 from .spectral import FrequencyGrid
 
 _DIRECT_SOLVE_MAX_N = 2000
-DEFAULT_STABILITY_THRESHOLD = 1e-8
+# |a(lambda)| at or below this on a grid point marks a filter unstable
+_STABILITY_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,10 @@ def arma_response(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
     return (vandermonde(grid.lambdas, len(filt.b)) @ filt.b) / denom
 
 
-def check_stability(
-    filt: ArmaFilter,
-    grid: FrequencyGrid,
-    threshold: float = DEFAULT_STABILITY_THRESHOLD,
-) -> StabilityReport:
+def check_stability(filt: ArmaFilter, grid: FrequencyGrid) -> StabilityReport:
     """Post-design check that the denominator stays away from zero on the grid."""
     mags = np.abs(_denominator(filt, grid))
-    offending = tuple(int(i) for i in np.flatnonzero(mags <= threshold))
+    offending = tuple(int(i) for i in np.flatnonzero(mags <= _STABILITY_THRESHOLD))
     return StabilityReport(
         min_denominator_magnitude=float(np.min(mags)),
         stable=not offending,

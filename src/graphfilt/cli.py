@@ -23,6 +23,7 @@ from .design import (
     METHODS,
     DesignProblem,
     best_order_search,
+    ideal_lowpass,
     report_to_json,
     run_method,
 )
@@ -39,6 +40,7 @@ from .fir import filter_payload, fir_apply, fir_design, fir_from_json, fir_to_js
 from .graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
+    _csv_rows,
     build_er_graph,
     build_knn_directed,
     graph_from_json,
@@ -115,33 +117,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
         parser.set_defaults(**payload)
 
 
-def _read_pairs(path, header, parse_first) -> list:
-    """(line, first, second) for every non-empty row of a two-column CSV.
-
-    The file must start with the given header; first fields go through
-    parse_first, second fields through float.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != list(header):
-            raise CsvParseError(f"expected header '{','.join(header)}'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            try:
-                rows.append((lineno, parse_first(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-    return rows
-
-
 def _read_signal_column(path):
     values = {}
-    for lineno, node, value in _read_pairs(path, ("node_id", "value"), int):
+    for lineno, (node, value) in _csv_rows(path, ("node_id", "value"), (int, float)):
         if node in values:
             raise CsvParseError(f"duplicate node_id {node}", line=lineno)
         values[node] = value
@@ -163,8 +141,8 @@ def _write_signal_column(path, values):
 
 
 def _read_response_csv(path):
-    rows = _read_pairs(path, ("re", "im"), float)
-    return np.array([complex(re, im) for _, re, im in rows])
+    rows = _csv_rows(path, ("re", "im"), (float, float))
+    return np.array([complex(re, im) for _, (re, im) in rows])
 
 
 def _resolve_grid(args):
@@ -184,14 +162,11 @@ def _resolve_response(spec: str, grid):
     if spec == "allpass":
         return np.ones(grid.n, dtype=complex)
     if spec.startswith("lowpass:"):
-        # experiments pulls in scipy.sparse.csgraph, which apply never needs
-        from . import experiments
-
         try:
             cutoff = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ParameterError(f"lowpass cutoff is not a number: {exc}") from exc
-        return experiments.ideal_lowpass(grid, cutoff)
+        return ideal_lowpass(grid, cutoff)
     if spec.startswith("file:"):
         h = _read_response_csv(spec.split(":", 1)[1])
         if len(h) != grid.n:
@@ -415,6 +390,9 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        seed = getattr(args, "seed", 0)  # --config values skip the flag's int type
+        if not isinstance(seed, int) or seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
         return args.func(args)
     except ConjugateSymmetryError as exc:
         print(f"error: {exc}", file=sys.stderr)

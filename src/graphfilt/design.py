@@ -12,6 +12,7 @@ their imaginary residue is recorded and truncated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,30 @@ PRONY_PROJECTION = "prony-projection"
 ITERATIVE = "iterative"
 METHODS = (PRONY_LS, PRONY_PROJECTION, ITERATIVE)
 
+# denominator regularizer, relative to max|a(lambda)|
+_RHO = 1e-8
+# stop the iterative design once the error vector moves less than this
+_DELTA_C = 1e-10
+
 
 def rnmse(estimate, reference) -> float:
     """Root normalized mean square error ||estimate - reference|| / ||reference||."""
     est = np.asarray(estimate)
     ref = np.asarray(reference)
     return float(np.linalg.norm(est - ref) / np.linalg.norm(ref))
+
+
+def ideal_lowpass(grid, cutoff: float = 1.0) -> np.ndarray:
+    """Ideal low-pass response on a grid.
+
+    Real grids threshold the frequency value; complex grids pass every
+    frequency within `cutoff` of the point (1, 0).
+    """
+    if math.isnan(cutoff):  # every comparison with NaN is false: an all-stop target
+        raise ParameterError("lowpass cutoff is NaN")
+    if grid.all_real:
+        return (grid.lambdas.real <= cutoff).astype(complex)
+    return (np.abs(grid.lambdas - 1.0) <= cutoff).astype(complex)
 
 
 def report_to_json(report) -> str:
@@ -59,10 +78,9 @@ def report_to_json(report) -> str:
 class DesignProblem:
     """A desired frequency response with weights, orders, and constraints.
 
-    weights multiply the error elementwise (all ones by default); rho is the
-    denominator regularizer (None picks 1e-8 * max|alpha| adaptively);
-    amplitude_only=None resolves to True on complex-disc grids with a real
-    desired response, matching how complex-valued responses are scored.
+    weights multiply the error elementwise (all ones by default). On
+    complex-disc grids with a real desired response the error is scored on
+    magnitudes, matching how complex-valued responses are scored.
     """
 
     grid: FrequencyGrid
@@ -71,8 +89,6 @@ class DesignProblem:
     ma_order: int
     weights: np.ndarray | None = None
     constrain_b0_zero: bool = False
-    rho: float | None = None
-    amplitude_only: bool | None = None
 
     def __post_init__(self):
         h = np.asarray(self.h_hat, dtype=complex)
@@ -101,8 +117,6 @@ class DesignProblem:
 
     @property
     def use_amplitude_error(self) -> bool:
-        if self.amplitude_only is not None:
-            return self.amplitude_only
         return self.grid.kind == COMPLEX_DISC and bool(np.all(self.h_hat.imag == 0.0))
 
 
@@ -295,8 +309,7 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     alpha = psi_p @ a
     tiny = np.abs(alpha) <= 1e-12 * max(float(np.max(np.abs(alpha))), 1e-30)
     if np.any(tiny):
-        rho = problem.rho if problem.rho is not None else 1e-8 * float(np.max(np.abs(alpha)))
-        alpha = alpha + rho
+        alpha = alpha + _RHO * float(np.max(np.abs(alpha)))
         warnings.append("denominator-regularized")
     gamma = 1.0 / alpha
     b_lhs = w[:, None] * (gamma[:, None] * psi_b)
@@ -312,15 +325,15 @@ def iterative_design(
     problem: DesignProblem,
     init: ArmaFilter | None = None,
     tau: int = 50,
-    delta_c: float = 1e-10,
 ) -> DesignReport:
     """Minimize the true error by re-weighting with the reciprocal denominator.
 
-    Each pass freezes gamma = 1/(alpha + rho), solves the linearized least
-    squares with a0 = 1, and tracks the true error. Iterations stop when the
-    l2 change of the error vector drops below delta_c or after tau passes;
-    the reported filter is the best-error iterate over the whole history,
-    with the initialization as iterate 0.
+    Each pass freezes gamma = 1/(alpha + rho) with rho = _RHO * max|alpha|,
+    solves the linearized least squares with a0 = 1, and tracks the true
+    error. Iterations stop when the l2 change of the error vector drops
+    below _DELTA_C or after tau passes; the reported filter is the
+    best-error iterate over the whole history, with the initialization as
+    iterate 0.
 
     A pass costs one least-squares solve and one evaluation of alpha = Psi_P a
     and beta = Psi_Q b, which serves the true error, the stopping test and
@@ -349,7 +362,7 @@ def iterative_design(
     warnings = set()
 
     for _ in range(tau):
-        rho = problem.rho if problem.rho is not None else 1e-8 * float(np.max(np.abs(alpha)))
+        rho = _RHO * float(np.max(np.abs(alpha)))
         denom = alpha + rho
         bad = denom == 0.0
         if np.any(bad):
@@ -372,7 +385,7 @@ def iterative_design(
         finite = np.isfinite(err_new).all()
         delta = float(np.linalg.norm(err_new - err_prev)) if finite else float("inf")
         err_prev = err_new
-        if delta < delta_c:
+        if delta < _DELTA_C:
             converged = True
             break
 
@@ -393,14 +406,13 @@ def iterative_design(
     )
 
 
-def run_method(method: str, problem: DesignProblem, tau: int = 50,
-               delta_c: float = 1e-10) -> DesignReport:
+def run_method(method: str, problem: DesignProblem, tau: int = 50) -> DesignReport:
     if method == PRONY_LS:
         return prony_ls(problem)
     if method == PRONY_PROJECTION:
         return prony_projection(problem)
     if method == ITERATIVE:
-        return iterative_design(problem, tau=tau, delta_c=delta_c)
+        return iterative_design(problem, tau=tau)
     raise ParameterError(f"unknown design method {method!r}")
 
 
@@ -419,12 +431,7 @@ def best_order_search(
     budget: int,
     method: str,
     le_budget: bool = False,
-    weights=None,
-    constrain_b0_zero: bool = False,
-    rho: float | None = None,
-    amplitude_only: bool | None = None,
     tau: int = 50,
-    delta_c: float = 1e-10,
 ) -> DesignReport:
     """Design at every (ar, ma) split of the budget and keep the best.
 
@@ -442,12 +449,8 @@ def best_order_search(
 
     def attempt(p, q):
         try:
-            problem = DesignProblem(
-                grid=grid, h_hat=h_hat, ar_order=p, ma_order=q, weights=weights,
-                constrain_b0_zero=constrain_b0_zero, rho=rho,
-                amplitude_only=amplitude_only,
-            )
-            return run_method(method, problem, tau=tau, delta_c=delta_c)
+            problem = DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=q)
+            return run_method(method, problem, tau=tau)
         except (InstabilityError, np.linalg.LinAlgError):
             return None
 

@@ -1,16 +1,16 @@
 """Experiment pipelines: interpolation, compression, prediction, and the
 universal-design study, on seeded synthetic data.
 
-Real measurement campaigns (one signal per timestamp) can be ingested from
-CSV; continuous integration substitutes a seeded generator that shapes white
-noise with a low-pass spectral profile.
+Signals come from a seeded generator that shapes white noise with a low-pass
+spectral profile. Each study runs at the fixed settings below; only the
+sweep values, the trial count and the seed are parameters.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -22,12 +22,12 @@ from .design import (
     DesignProblem,
     DesignReport,
     best_order_search,
+    ideal_lowpass,
     iterative_design,
     prony_ls,
     rnmse,
 )
 from .errors import (
-    CsvParseError,
     DimensionError,
     InstabilityError,
     ParameterError,
@@ -65,22 +65,40 @@ from .spectral import (
     uniform_real_grid,
 )
 
+# Synthetic signals: share of frequencies the "mask" profile keeps, and
+# the rate and floor of the "decay" profile.
+_KEEP_FRAC = 0.25
+_DECAY = 4.0
+_FLOOR = 0.02
+# Geometric graphs: node count, k-NN degree, side of the coordinate box.
+_GRAPH_NODES = 32
+_GRAPH_NEIGHBORS = 6
+_GRAPH_BOX = 3.0
+# Iterative-design passes of one prediction and of one compression candidate.
+_PREDICT_TAU = 20
+_COMPRESS_TAU = 12
+# Low-pass cutoff and ER(n, p) graphs of the universal and budgeted-CG
+# studies, and the budgeted-CG design grid size.
+_CUTOFF = 1.0
+_GRID_POINTS = 100
+_ER_NODES = 100
+_ER_P = 0.1
+# Interpolation: prior weights, noise variance, CG settings.
+_OMEGAS = (1.0, 2.0)
+_NOISE_VARIANCE = 1e-2
+_INTERPOLATION_CG = CgConfig(epsilon=1e-2, max_iterations=20)
+# Budgeted CG study: shift budget, CG tolerance, largest AR order, count of
+# seeded white inputs for selection and again for evaluation, seed.
+_CG_BUDGET = 16
+_CG_EPSILON = 1e-3
+_CG_MAX_AR = 3
+_CG_INPUTS = 10
+_CG_SEED = 7
+
 
 # ---------------------------------------------------------------------------
-# Desired responses and synthetic signals
+# Synthetic signals
 # ---------------------------------------------------------------------------
-
-def ideal_lowpass(grid, cutoff: float = 1.0) -> np.ndarray:
-    """Ideal low-pass response on a grid.
-
-    Real grids threshold the frequency value; complex grids pass every
-    frequency within `cutoff` of the point (1, 0).
-    """
-    if math.isnan(cutoff):  # every comparison with NaN is false: an all-stop target
-        raise ParameterError("lowpass cutoff is NaN")
-    if grid.all_real:
-        return (grid.lambdas.real <= cutoff).astype(complex)
-    return (np.abs(grid.lambdas - 1.0) <= cutoff).astype(complex)
 
 
 def _shared_rank(dec: SpectralDecomposition, op_kind: str) -> np.ndarray:
@@ -98,25 +116,22 @@ def smooth_signal(
     dec: SpectralDecomposition,
     op_kind: str,
     rng: np.random.Generator,
-    keep_frac: float = 0.25,
     profile: str = "mask",
-    decay: float = 4.0,
-    floor: float = 0.02,
 ) -> np.ndarray:
     """White noise shaped by a low-pass spectral profile; unit RMS per node.
 
-    profile="mask" keeps the lowest keep_frac of the ordered frequencies
-    (whole conjugate pairs); profile="decay" applies exp(-decay * rank / n)
+    profile="mask" keeps the lowest _KEEP_FRAC of the ordered frequencies
+    (whole conjugate pairs); profile="decay" applies exp(-_DECAY * rank / n)
     with a broadband floor, which keeps residual-based pipelines away from
     exactly representable signals.
     """
     n = dec.n
     rank = _shared_rank(dec, op_kind)
     if profile == "mask":
-        keep = max(1, round(keep_frac * n))
+        keep = max(1, round(_KEEP_FRAC * n))
         envelope = (rank < keep).astype(float)
     elif profile == "decay":
-        envelope = np.maximum(np.exp(-decay * rank / n), floor)
+        envelope = np.maximum(np.exp(-_DECAY * rank / n), _FLOOR)
     else:
         raise ParameterError(f"unknown spectral profile {profile!r}")
     noise = rng.standard_normal(n)
@@ -128,7 +143,7 @@ def smooth_signal(
     return x / norm * math.sqrt(n)
 
 
-def experiment_graphs(n: int = 32, k: int = 6, seed: int = 42, box: float = 3.0):
+def experiment_graphs(seed: int = 42):
     """Seeded geometric graphs used across the application pipelines.
 
     Returns (directed kNN graph, its max-symmetrized undirected version);
@@ -136,8 +151,8 @@ def experiment_graphs(n: int = 32, k: int = 6, seed: int = 42, box: float = 3.0)
     Gaussian edge weights well spread.
     """
     rng = np.random.default_rng(seed)
-    coords = rng.random((n, 2)) * box
-    directed = build_knn_directed(coords, k)
+    coords = rng.random((_GRAPH_NODES, 2)) * _GRAPH_BOX
+    directed = build_knn_directed(coords, _GRAPH_NEIGHBORS)
     return directed, symmetrize_max(directed)
 
 
@@ -263,7 +278,6 @@ def predict(
     ar_order: int,
     ma_order: int,
     bits: int,
-    tau: int = 20,
 ) -> PredictionResult:
     """Linear prediction with residual quantization.
 
@@ -287,7 +301,7 @@ def predict(
         weights=np.abs(x_hat),
         constrain_b0_zero=True,
     )
-    report = iterative_design(problem, tau=tau)
+    report = iterative_design(problem, tau=_PREDICT_TAU)
     best = None
     for idx, cand in enumerate(report.iterate_filters):
         try:
@@ -328,9 +342,7 @@ def compress(
     op: ShiftOperator,
     x,
     budget: int,
-    method: str = ITERATIVE,
     le_budget: bool = True,
-    tau: int = 12,
 ) -> CompressionResult:
     """Fit a rational filter to the signal spectrum and keep the coefficients.
 
@@ -344,7 +356,7 @@ def compress(
     grid = spectrum_grid(dec)
     x_hat = gft(dec, x)
     report = best_order_search(
-        grid, x_hat, budget, method, le_budget=le_budget, tau=tau
+        grid, x_hat, budget, ITERATIVE, le_budget=le_budget, tau=_COMPRESS_TAU
     )
     response = arma_response(report.filter, grid)
     x_tilde = igft(dec, response).real
@@ -407,7 +419,6 @@ class ReportRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple
-    config: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -432,49 +443,6 @@ class ExperimentReport:
                 )
 
 
-def read_signal_csv(path):
-    """Read `node_id,timestamp,value` rows into (timestamps, signal matrix).
-
-    Node ids must cover 0..n-1 for every timestamp; timestamps are returned
-    sorted lexicographically.
-    """
-    cells = {}
-    nodes = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["node_id", "timestamp", "value"]:
-            raise CsvParseError("expected header 'node_id,timestamp,value'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            try:
-                node = int(row[0])
-                value = float(row[2])
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-            stamp = row[1].strip()
-            if (node, stamp) in cells:
-                raise CsvParseError(f"duplicate cell ({node}, {stamp})", line=lineno)
-            cells[(node, stamp)] = value
-            nodes.add(node)
-    if not cells:
-        raise CsvParseError("signal table is empty")
-    n = max(nodes) + 1
-    if sorted(nodes) != list(range(n)):
-        raise CsvParseError(f"node ids must cover 0..{n - 1}")
-    stamps = sorted({stamp for _, stamp in cells})
-    matrix = np.empty((len(stamps), n))
-    for t, stamp in enumerate(stamps):
-        for node in range(n):
-            if (node, stamp) not in cells:
-                raise CsvParseError(f"missing value for node {node} at {stamp}")
-            matrix[t, node] = cells[(node, stamp)]
-    return stamps, matrix
-
-
 # ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------
@@ -482,10 +450,10 @@ def read_signal_csv(path):
 _STUDY_METHODS = ("fir", "prony-ls", "prony-projection", "iterative")
 
 
-def _design_rnmse_on_grid(grid, h_hat, budget, method, le_budget):
+def _design_rnmse_on_grid(grid, h_hat, budget, method):
     if method == "fir":
         return fir_design(grid, h_hat, budget).rnmse, budget, 0
-    report = best_order_search(grid, h_hat, budget, method, le_budget=le_budget)
+    report = best_order_search(grid, h_hat, budget, method)
     return report.rnmse_true, report.filter.ar_order, report.filter.ma_order
 
 
@@ -494,67 +462,44 @@ def universal_study(
     n_points: int,
     k_values,
     methods=_STUDY_METHODS,
-    cutoff: float = 1.0,
     er_trials: int = 20,
-    er_n: int = 100,
-    er_p: float = 0.1,
     seed: int = 0,
-    le_budget: bool = False,
 ) -> ExperimentReport:
     """RNMSE-versus-order curves for the ideal low-pass design task.
 
     grid_kind selects the uniform real grid, the complex disc grid, or
     averaged Erdos-Renyi graph spectra ("er-spectrum"). ARMA methods search
     the (ar, ma) split of each budget; FIR uses the budget as its order.
+    A single grid reports the chosen orders; averaged spectra report -1.
     """
-    rows = []
-    if grid_kind in (UNIFORM_REAL, COMPLEX_DISC):
-        grid = (
-            uniform_real_grid(n_points)
-            if grid_kind == UNIFORM_REAL
-            else complex_disc_grid(n_points)
-        )
-        h = ideal_lowpass(grid, cutoff)
-        for k in k_values:
-            for method in methods:
-                err, p, q = _design_rnmse_on_grid(grid, h, k, method, le_budget)
-                rows.append(
-                    ReportRow(
-                        experiment=f"universal-{grid_kind}",
-                        k=k, ar_order=p, ma_order=q, method=method,
-                        values=(err,), seed=seed,
-                    )
-                )
+    if grid_kind == UNIFORM_REAL:
+        grids = [uniform_real_grid(n_points)]
+    elif grid_kind == COMPLEX_DISC:
+        grids = [complex_disc_grid(n_points)]
     elif grid_kind == "er-spectrum":
-        grids = []
-        for t in range(er_trials):
-            graph = build_er_graph(er_n, er_p, seed + t)
-            op = normalize(graph, NORMALIZED_LAPLACIAN)
-            grids.append(spectrum_grid(eigendecompose(op)))
-        for k in k_values:
-            for method in methods:
-                errs = []
-                for grid in grids:
-                    h = ideal_lowpass(grid, cutoff)
-                    err, p, q = _design_rnmse_on_grid(grid, h, k, method, le_budget)
-                    errs.append(err)
-                rows.append(
-                    ReportRow(
-                        experiment="er-spectrum",
-                        k=k, ar_order=-1, ma_order=-1, method=method,
-                        values=tuple(errs), seed=seed,
-                    )
-                )
+        grids = [
+            spectrum_grid(eigendecompose(normalize(
+                build_er_graph(_ER_NODES, _ER_P, seed + t), NORMALIZED_LAPLACIAN
+            )))
+            for t in range(er_trials)
+        ]
     else:
         raise ParameterError(f"unknown study grid kind {grid_kind!r}")
-    return ExperimentReport(
-        rows=tuple(rows),
-        config={
-            "grid_kind": grid_kind, "n_points": n_points,
-            "k_values": list(k_values), "methods": list(methods),
-            "cutoff": cutoff, "seed": seed, "le_budget": le_budget,
-        },
-    )
+    averaged = grid_kind == "er-spectrum"
+    experiment = grid_kind if averaged else f"universal-{grid_kind}"
+    targets = [(grid, ideal_lowpass(grid, _CUTOFF)) for grid in grids]
+    rows = []
+    for k in k_values:
+        for method in methods:
+            fits = [_design_rnmse_on_grid(grid, h, k, method) for grid, h in targets]
+            p, q = (-1, -1) if averaged else fits[0][1:]
+            rows.append(
+                ReportRow(
+                    experiment=experiment, k=k, ar_order=p, ma_order=q, method=method,
+                    values=tuple(err for err, _, _ in fits), seed=seed,
+                )
+            )
+    return ExperimentReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -569,19 +514,8 @@ class BudgetedCgResult:
     candidate: str
 
 
-def budgeted_cg_study(
-    budget: int = 16,
-    n_points: int = 100,
-    er_n: int = 100,
-    er_p: float = 0.1,
-    cutoff: float = 1.0,
-    epsilon: float = 1e-3,
-    seed: int = 7,
-    selection_inputs: int = 10,
-    eval_inputs: int = 10,
-    max_ar: int = 3,
-) -> BudgetedCgResult:
-    """Match FIR(K) and CG-applied ARMA at the same shift budget.
+def budgeted_cg_study() -> BudgetedCgResult:
+    """Match FIR(K) and CG-applied ARMA at the same shift budget K = _CG_BUDGET.
 
     Both filters are designed universally for the ideal low-pass response.
     The ARMA side may spend its budget on any (ar, ma) split with
@@ -589,23 +523,24 @@ def budgeted_cg_study(
     sets come from both Prony methods and every iterate of the iterative
     design, selected on held-out white inputs, warm-started at z. The score
     is the RNMSE between the filter output and the ideally filtered input,
-    averaged over seeded white signals.
+    averaged over seeded white signals on an ER(100, 0.1) Laplacian.
     """
-    rng = np.random.default_rng(seed)
-    graph = build_er_graph(er_n, er_p, seed)
+    budget = _CG_BUDGET
+    rng = np.random.default_rng(_CG_SEED)
+    graph = build_er_graph(_ER_NODES, _ER_P, _CG_SEED)
     op = normalize(graph, NORMALIZED_LAPLACIAN)
     dec = eigendecompose(op)
-    h_graph = ideal_lowpass(spectrum_grid(dec), cutoff).real
+    h_graph = ideal_lowpass(spectrum_grid(dec), _CUTOFF).real
 
-    xs_sel = [rng.standard_normal(er_n) for _ in range(selection_inputs)]
-    xs_eval = [rng.standard_normal(er_n) for _ in range(eval_inputs)]
+    xs_sel = [rng.standard_normal(_ER_NODES) for _ in range(_CG_INPUTS)]
+    xs_eval = [rng.standard_normal(_ER_NODES) for _ in range(_CG_INPUTS)]
 
     def output_rnmse(y, x):
         target = h_graph * gft(dec, x).real
         return rnmse(gft(dec, y).real, target)
 
-    grid = uniform_real_grid(n_points)
-    h = ideal_lowpass(grid, cutoff)
+    grid = uniform_real_grid(_GRID_POINTS)
+    h = ideal_lowpass(grid, _CUTOFF)
 
     fir = fir_design(grid, h, budget).filter
     fir_score = float(np.mean([output_rnmse(fir_apply(fir, op, x), x) for x in xs_eval]))
@@ -617,7 +552,7 @@ def budgeted_cg_study(
             y, _ = cg_solve(
                 lambda v, a=filt.a: poly_apply(a, op, v),
                 z,
-                CgConfig(epsilon=epsilon, max_iterations=iterations, y0=z),
+                CgConfig(epsilon=_CG_EPSILON, max_iterations=iterations, y0=z),
             )
             vals.append(output_rnmse(y, x))
         return float(np.mean(vals))
@@ -629,7 +564,7 @@ def budgeted_cg_study(
         return bool(np.all(alpha.real > 0.0))
 
     best = None
-    for p in range(1, max_ar + 1):
+    for p in range(1, _CG_MAX_AR + 1):
         for q in range(0, budget - p + 1):
             iterations = (budget - q) // p
             if iterations < 1:
@@ -682,15 +617,9 @@ def _budget_candidates(grid, h, ar_order, ma_order):
 
 
 def interpolation_study(
-    omegas=(1.0, 2.0),
     known_fracs=(0.1, 0.3, 0.9),
     trials: int = 50,
-    n: int = 32,
-    noise_variance: float = 1e-2,
-    cg_epsilon: float = 1e-2,
-    cg_max_iterations: int = 20,
     seed: int = 3,
-    keep_frac: float = 0.25,
 ) -> ExperimentReport:
     """Reconstruction error versus known-value percentage on a geometric graph.
 
@@ -698,17 +627,18 @@ def interpolation_study(
     random node subset, and solves the interpolation system with CG. The K
     column of the report carries the known percentage.
     """
-    _, undirected = experiment_graphs(n=n, seed=seed)
+    n = _GRAPH_NODES
+    _, undirected = experiment_graphs(seed=seed)
     op = normalize(undirected, NORMALIZED_LAPLACIAN)
     dec = eigendecompose(op)
     n_comp, labels = csgraph.connected_components(op.matrix, directed=False)
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(noise_variance)
+    sigma = math.sqrt(_NOISE_VARIANCE)
     rows = []
-    for omega in omegas:
+    for omega in _OMEGAS:
         per_frac = {frac: [] for frac in known_fracs}
         for _ in range(trials):
-            x = smooth_signal(dec, op.kind, rng, keep_frac=keep_frac)
+            x = smooth_signal(dec, op.kind, rng)
             noisy = x + rng.normal(0.0, sigma, n)
             for frac in known_fracs:
                 count = max(1, round(frac * n))
@@ -725,10 +655,7 @@ def interpolation_study(
                 mask[known] = True
                 task = InterpolationTask(mask=mask, omega=omega)
                 observed = np.where(mask, noisy, 0.0)
-                x_tilde, _ = interpolate(
-                    op, observed, task,
-                    CgConfig(epsilon=cg_epsilon, max_iterations=cg_max_iterations),
-                )
+                x_tilde, _ = interpolate(op, observed, task, _INTERPOLATION_CG)
                 per_frac[frac].append(rnmse(x_tilde, x))
         for frac in known_fracs:
             rows.append(
@@ -739,34 +666,23 @@ def interpolation_study(
                     values=tuple(per_frac[frac]), seed=seed,
                 )
             )
-    return ExperimentReport(
-        rows=tuple(rows),
-        config={
-            "omegas": list(omegas), "known_fracs": list(known_fracs),
-            "trials": trials, "n": n, "noise_variance": noise_variance,
-            "cg_epsilon": cg_epsilon, "cg_max_iterations": cg_max_iterations,
-            "seed": seed,
-        },
-    )
+    return ExperimentReport(rows=tuple(rows))
 
 
 def compression_study(
     k_values=(4, 8, 16, 23),
     trials: int = 10,
-    n: int = 32,
     seed: int = 3,
-    method: str = ITERATIVE,
-    keep_frac: float = 0.25,
 ) -> ExperimentReport:
     """ARMA-versus-FIR compression error on the directed geometric graph."""
-    directed, _ = experiment_graphs(n=n, seed=42)
+    directed, _ = experiment_graphs()
     op = normalize(directed, NORMALIZED_ADJACENCY)
     dec = eigendecompose(op)
     rng = np.random.default_rng(seed)
-    signals = [smooth_signal(dec, op.kind, rng, keep_frac=keep_frac) for _ in range(trials)]
+    signals = [smooth_signal(dec, op.kind, rng) for _ in range(trials)]
     rows = []
     for k in k_values:
-        arma_errs = [compress(op, x, k, method=method).rnmse for x in signals]
+        arma_errs = [compress(op, x, k).rnmse for x in signals]
         fir_errs = [compress_fir(op, x, k)[2] for x in signals]
         rows.append(
             ReportRow(
@@ -780,37 +696,23 @@ def compression_study(
                 method="fir", values=tuple(fir_errs), seed=seed,
             )
         )
-    return ExperimentReport(
-        rows=tuple(rows),
-        config={
-            "k_values": list(k_values), "trials": trials, "n": n,
-            "seed": seed, "method": method,
-        },
-    )
+    return ExperimentReport(rows=tuple(rows))
 
 
 def prediction_study(
     k_values=(3, 4, 6),
     bit_values=(3, 5, 7, 16),
     trials: int = 10,
-    n: int = 32,
     seed: int = 5,
-    directed: bool = True,
-    decay: float = 4.0,
-    floor: float = 0.02,
 ) -> ExperimentReport:
-    """Prediction-plus-quantization error over filter orders and bit budgets."""
-    directed_graph, undirected_graph = experiment_graphs(n=n, seed=42)
-    graph = directed_graph if directed else undirected_graph
-    op = normalize(graph, NORMALIZED_ADJACENCY)
+    """Prediction-plus-quantization error on the directed geometric graph,
+    over filter orders and bit budgets."""
+    directed, _ = experiment_graphs()
+    op = normalize(directed, NORMALIZED_ADJACENCY)
     dec = eigendecompose(op)
     rng = np.random.default_rng(seed)
-    signals = [
-        smooth_signal(dec, op.kind, rng, profile="decay", decay=decay, floor=floor)
-        for _ in range(trials)
-    ]
+    signals = [smooth_signal(dec, op.kind, rng, profile="decay") for _ in range(trials)]
     rows = []
-    label = "directed" if directed else "undirected"
     for k in k_values:
         ar_order = k // 2
         ma_order = k - ar_order
@@ -818,16 +720,9 @@ def prediction_study(
             errs = [predict(op, x, ar_order, ma_order, bits).rnmse for x in signals]
             rows.append(
                 ReportRow(
-                    experiment=f"prediction-{label}", k=k,
+                    experiment="prediction-directed", k=k,
                     ar_order=ar_order, ma_order=ma_order,
                     method=f"arma-b{bits}", values=tuple(errs), seed=seed,
                 )
             )
-    return ExperimentReport(
-        rows=tuple(rows),
-        config={
-            "k_values": list(k_values), "bit_values": list(bit_values),
-            "trials": trials, "n": n, "seed": seed, "directed": directed,
-            "decay": decay, "floor": floor,
-        },
-    )
+    return ExperimentReport(rows=tuple(rows))

@@ -448,6 +448,34 @@ def graph_from_json(text: str) -> Graph:
         raise CsvParseError(f"invalid graph JSON: {exc}") from exc
 
 
+def _csv_rows(path, header, parsers):
+    """(line, values) for every non-blank row of a CSV with the given header.
+
+    Field i of a row goes through parsers[i]. A wrong header, a row of the
+    wrong length, a field that does not parse and a NaN or infinite number
+    raise CsvParseError with the line number.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise CsvParseError(f"expected header '{','.join(header)}'", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(parsers):
+                raise CsvParseError(
+                    f"expected {len(parsers)} fields, got {len(row)}", line=lineno
+                )
+            try:
+                values = tuple(parse(text) for parse, text in zip(parsers, row))
+            except ValueError as exc:
+                raise CsvParseError(str(exc), line=lineno) from exc
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise CsvParseError(f"non-finite value in {','.join(row)}", line=lineno)
+            yield lineno, values
+
+
 def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
     """Read a `src,dst,weight` edge list.
 
@@ -456,25 +484,13 @@ def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
     """
     offset = 1 if one_based else 0
     entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst", "weight"]:
-            raise CsvParseError("expected header 'src,dst,weight'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            try:
-                i, j, w = int(row[0]) - offset, int(row[1]) - offset, float(row[2])
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-            if i < 0 or j < 0:
-                raise CsvParseError(f"negative index after offset: ({i},{j})", line=lineno)
-            if entries.get((i, j), w) != w:
-                raise CsvParseError(f"conflicting duplicate edge ({i},{j})", line=lineno)
-            entries[(i, j)] = w
+    for lineno, (i, j, w) in _csv_rows(path, ("src", "dst", "weight"), (int, int, float)):
+        i, j = i - offset, j - offset
+        if i < 0 or j < 0:
+            raise CsvParseError(f"negative index after offset: ({i},{j})", line=lineno)
+        if entries.get((i, j), w) != w:
+            raise CsvParseError(f"conflicting duplicate edge ({i},{j})", line=lineno)
+        entries[(i, j)] = w
     if not entries:
         raise CsvParseError("edge list is empty")
     n = max(max(i, j) for i, j in entries) + 1
@@ -493,24 +509,11 @@ def read_coords_csv(path, one_based: bool = False) -> np.ndarray:
     """Read an `id,x,y` coordinate table; ids must cover 0..n-1 after offset."""
     offset = 1 if one_based else 0
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "x", "y"]:
-            raise CsvParseError("expected header 'id,x,y'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-            try:
-                idx = int(row[0]) - offset
-                xy = (float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-            if idx in rows:
-                raise CsvParseError(f"duplicate id {idx}", line=lineno)
-            rows[idx] = xy
+    for lineno, (idx, x, y) in _csv_rows(path, ("id", "x", "y"), (int, float, float)):
+        idx -= offset
+        if idx in rows:
+            raise CsvParseError(f"duplicate id {idx}", line=lineno)
+        rows[idx] = (x, y)
     n = len(rows)
     if n == 0:
         raise CsvParseError("coordinate table is empty")

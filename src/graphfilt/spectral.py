@@ -92,19 +92,18 @@ def igft(dec: SpectralDecomposition, x_hat) -> np.ndarray:
     return dec.modes @ x_hat
 
 
-def pair_conjugates(lambdas: np.ndarray, tol: float | None = None):
+def pair_conjugates(lambdas: np.ndarray):
     """Pair eigenvalues with their conjugates.
 
     Returns (pair, adjusted) where pair[i] is the index of i's conjugate
     partner (i itself for real eigenvalues) and adjusted is the input with
     unmatched near-real values truncated to real. Greedy nearest-conjugate
-    matching; tolerance defaults to 1e-7 * max|lambda|.
+    matching within a tolerance of 1e-7 * max(max|lambda|, 1).
     """
     lam = np.asarray(lambdas, dtype=complex).copy()
     n = len(lam)
     scale = float(np.max(np.abs(lam))) if n else 0.0
-    if tol is None:
-        tol = 1e-7 * max(scale, 1.0)
+    tol = 1e-7 * max(scale, 1.0)
     pair = np.full(n, -1, dtype=int)
     for i in range(n):
         if pair[i] >= 0:

@@ -103,7 +103,7 @@ def er_laplacian():
     return op, eigendecompose(op)
 
 
-def reference_iterative_design(problem, tau=50, delta_c=1e-10):
+def reference_iterative_design(problem, tau=50):
     """The iterative design pass loop in complex arithmetic, evaluated naively.
 
     Every pass rebuilds the response for the true error and again for the
@@ -160,7 +160,7 @@ def reference_iterative_design(problem, tau=50, delta_c=1e-10):
     max_residue, converged, warnings = 0.0, False, set()
     for _ in range(tau):
         alpha = psi_p @ a
-        rho = problem.rho if problem.rho is not None else 1e-8 * float(np.max(np.abs(alpha)))
+        rho = 1e-8 * float(np.max(np.abs(alpha)))
         denom = alpha + rho
         bad = np.abs(denom) == 0.0
         if np.any(bad):
@@ -182,7 +182,7 @@ def reference_iterative_design(problem, tau=50, delta_c=1e-10):
         finite = np.all(np.isfinite(err_new.real)) and np.all(np.isfinite(err_new.imag))
         delta = float(np.linalg.norm(err_new - err_prev)) if finite else float("inf")
         err_prev = err_new
-        if delta < delta_c:
+        if delta < 1e-10:
             converged = True
             break
 

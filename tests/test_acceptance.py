@@ -30,13 +30,12 @@ from graphfilt import (
     spectrum_grid,
     uniform_real_grid,
 )
-from graphfilt.design import run_method
+from graphfilt.design import ideal_lowpass, run_method
 from graphfilt.experiments import (
     InterpolationTask,
     budgeted_cg_study,
     compression_study,
     experiment_graphs,
-    ideal_lowpass,
     interpolate,
     interpolation_study,
     prediction_study,
@@ -153,7 +152,7 @@ def test_criterion_05_cg_fidelity_and_budget():
     y, trace = arma_apply_cg(filt, op, x, CgConfig(epsilon=1e-10, max_iterations=400))
     fidelity = np.linalg.norm(y - direct) / np.linalg.norm(direct)
 
-    budget = budgeted_cg_study(budget=16, seed=7)
+    budget = budgeted_cg_study()
     elapsed = time.perf_counter() - start
     ok = (
         fidelity <= 1e-6
@@ -207,7 +206,7 @@ def test_criterion_07_interpolation_trend_and_solver_fidelity():
         details.append(f"omega={omega:g}: {m[90]:.3f} < {m[30]:.3f} < {m[10]:.3f}")
 
     # solver fidelity against the dense inverse on fresh instances
-    _, undirected = experiment_graphs(n=32, seed=42)
+    _, undirected = experiment_graphs()
     op = normalize(undirected, NORMALIZED_LAPLACIAN)
     dec = eigendecompose(op)
     rng = np.random.default_rng(77)

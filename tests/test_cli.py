@@ -72,6 +72,19 @@ class TestGenGraph:
         assert code == cli.EXIT_PARSE
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name, text", [
+        pytest.param(["--directed", "--edges"], "e.csv", "src,dst,weight\n0,1,1.0\n1,2,inf\n",
+                     id="edge-weight-inf"),
+        pytest.param(["--knn", "1", "--coords"], "c.csv",
+                     "id,x,y\n0,0.0,0.0\n1,nan,1.0\n2,1.0,1.0\n", id="coordinate-nan"),
+    ])
+    def test_non_finite_csv_field_exits_with_its_line(self, tmp_path, capsys, flags,
+                                                      name, text):
+        (tmp_path / name).write_text(text)
+        code = run(["gen-graph", *flags, str(tmp_path / name), "-o", str(tmp_path / "g.json")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
 
 class TestDesign:
     def test_fir_filter_file(self, tmp_path):
@@ -197,27 +210,38 @@ class TestMalformedGraph:
 
 
 FIR_IDENTITY = '{"type": "fir", "g": [1.0]}'
+ARMA_LOWPASS = '{"type": "arma", "a": [1.0, 0.3], "b": [0.5, 0.2]}'
 TWO_NODE_SIGNAL = "node_id,value\n0,1.0\n1,2.0\n"
+NAN_SIGNAL = "node_id,value\n0,1.0\n1,nan\n"
 
 
 class TestMalformedApplyInput:
-    @pytest.mark.parametrize("signal, filt", [
-        pytest.param("node_id,value\n0\n1,2.0\n", FIR_IDENTITY, id="signal-one-field"),
-        pytest.param("node_id,value\n0,1.0\n0,3.0\n1,2.0\n", FIR_IDENTITY,
+    @pytest.mark.parametrize("signal, filt, solver", [
+        pytest.param("node_id,value\n0\n1,2.0\n", FIR_IDENTITY, "direct",
+                     id="signal-one-field"),
+        pytest.param("node_id,value\n0,1.0\n0,3.0\n1,2.0\n", FIR_IDENTITY, "direct",
                      id="signal-duplicate-node"),
-        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir", "g": [1.0', id="filter-invalid-json"),
-        pytest.param(TWO_NODE_SIGNAL, "[1.0, 2.0]", id="filter-not-object"),
-        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir"}', id="fir-lacks-g"),
-        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "b": [1.0]}', id="arma-lacks-a"),
-        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "a": [1.0]}', id="arma-lacks-b"),
+        pytest.param(NAN_SIGNAL, ARMA_LOWPASS, "cg", id="signal-nan-cg"),
+        pytest.param(NAN_SIGNAL, ARMA_LOWPASS, "direct", id="signal-nan-direct"),
+        pytest.param("node_id,value\n0,-inf\n1,2.0\n", FIR_IDENTITY, "direct",
+                     id="signal-inf-fir"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir", "g": [1.0', "direct",
+                     id="filter-invalid-json"),
+        pytest.param(TWO_NODE_SIGNAL, "[1.0, 2.0]", "direct", id="filter-not-object"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "fir"}', "direct", id="fir-lacks-g"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "b": [1.0]}', "direct",
+                     id="arma-lacks-a"),
+        pytest.param(TWO_NODE_SIGNAL, '{"type": "arma", "a": [1.0]}', "direct",
+                     id="arma-lacks-b"),
     ])
-    def test_apply_exits_with_parse_code(self, tmp_path, capsys, signal, filt):
+    def test_apply_exits_with_parse_code(self, tmp_path, capsys, signal, filt, solver):
         graph = tmp_path / "g.json"
         graph.write_text('{"n": 2, "directed": false, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
         (tmp_path / "f.json").write_text(filt)
         (tmp_path / "x.csv").write_text(signal)
         code = run(["apply", "--filter", str(tmp_path / "f.json"), "--graph", str(graph),
-                    "--input", str(tmp_path / "x.csv"), "-o", str(tmp_path / "y.csv")])
+                    "--input", str(tmp_path / "x.csv"), "--solver", solver,
+                    "-o", str(tmp_path / "y.csv")])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "y.csv").exists()
@@ -230,6 +254,21 @@ class TestMalformedApplyInput:
                     "-o", str(tmp_path / "f.json")])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("nan,0.0", id="real-nan"),
+        pytest.param("1.0,inf", id="imag-inf"),
+    ])
+    def test_non_finite_response_row_exits_with_parse_code(self, tmp_path, capsys, row):
+        rows = ["1.0,0.0"] * 10
+        rows[4] = row
+        response = tmp_path / "h.csv"
+        response.write_text("re,im\n" + "\n".join(rows) + "\n")
+        code = run(["design", "--method", "iterative", "--p", "2", "--q", "2",
+                    "--grid", "uniform-real", "--grid-size", "10",
+                    "--response", f"file:{response}", "-o", str(tmp_path / "f.json")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: line 6: ")
 
 
 class TestBadValues:
@@ -248,6 +287,12 @@ class TestBadValues:
         pytest.param(["experiment", "universal", "--grid", "er-spectrum", "--trials", "0"],
                      None, id="er-spectrum-zero-trials"),
         pytest.param(["experiment", "universal"], "[]", id="config-list"),
+        pytest.param(["gen-graph", "--er", "--n", "30", "--p", "0.2", "--seed", "-1"], None,
+                     id="gen-graph-negative-seed"),
+        pytest.param(["experiment", "interpolation", "--seed", "-1"], None,
+                     id="interpolation-negative-seed"),
+        pytest.param(["experiment", "interpolation"], '{"seed": -1}',
+                     id="config-negative-seed"),
     ])
     def test_exits_with_parse_code(self, tmp_path, capsys, argv, config):
         out = tmp_path / "out"
@@ -265,7 +310,8 @@ class TestBadValues:
 def test_import_leaves_experiments_unloaded(tmp_path, er_graph_file):
     # importing the CLI and running `apply --solver cg` load neither the
     # experiments module nor any scipy module: ARMA and FIR, on a Laplacian
-    # and on a directed adjacency (normal-equations CG)
+    # and on a directed adjacency (normal-equations CG); nor does `design
+    # --response lowpass:` on a uniform grid and on a graph spectrum
     points = np.random.default_rng(1).random((20, 2)).tolist()
     coords = tmp_path / "c.csv"
     rows = "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(points))
@@ -283,14 +329,19 @@ def test_import_leaves_experiments_unloaded(tmp_path, er_graph_file):
                             "--input", str(tmp_path / f"x{n}.csv"),
                             "--trace", str(tmp_path / f"{shift}-{filt}.trace.csv"),
                             "-o", str(tmp_path / f"{shift}-{filt}.csv")])
+    designs = [["design", "--method", "fir", "--k", "4", "--grid", "uniform-real",
+                "--response", "lowpass:1.0", "-o", str(tmp_path / "uniform.json")],
+               ["design", "--method", "iterative", "--budget", "3", "--grid", "graph-spectrum",
+                "--graph", str(er_graph_file), "--response", "lowpass:1.0",
+                "-o", str(tmp_path / "spectrum.json")]]
     code = ("import sys, graphfilt.cli as cli; "
-            f"codes = [cli.main(argv) for argv in {applies!r}]; "
+            f"codes = [cli.main(argv) for argv in {applies + designs!r}]; "
             "print(codes, sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' or m == 'graphfilt.experiments'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[0, 0, 0, 0] []"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
     assert all((tmp_path / f"{s}-{f}.csv").exists() for s in ("laplacian", "adjacency")
                for f in ("arma", "fir"))
 

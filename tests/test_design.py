@@ -21,8 +21,7 @@ from graphfilt import (
 )
 from graphfilt import design
 from graphfilt.arma import StabilityReport
-from graphfilt.design import order_candidates, run_method
-from graphfilt.experiments import ideal_lowpass
+from graphfilt.design import ideal_lowpass, order_candidates, run_method
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
 from conftest import (
@@ -225,7 +224,7 @@ class TestIterativeReference:
         new = [best_order_search(grid, h, k, "iterative") for k in range(5, 14)]
         monkeypatch.setattr(
             design, "iterative_design",
-            lambda problem, tau, delta_c: reference_iterative_design(problem, tau, delta_c),
+            lambda problem, tau: reference_iterative_design(problem, tau),
         )
         for k, rep in zip(range(5, 14), new):
             ref = best_order_search(grid, h, k, "iterative")
@@ -283,10 +282,6 @@ class TestErrors:
         real_h = np.ones(20, dtype=complex)
         auto_on = DesignProblem(grid=disc, h_hat=real_h, ar_order=1, ma_order=1)
         assert auto_on.use_amplitude_error
-        forced_off = DesignProblem(
-            grid=disc, h_hat=real_h, ar_order=1, ma_order=1, amplitude_only=False
-        )
-        assert not forced_off.use_amplitude_error
         real_grid_problem = DesignProblem(
             grid=uniform_real_grid(20), h_hat=np.ones(20, dtype=complex),
             ar_order=1, ma_order=1,

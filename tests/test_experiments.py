@@ -16,7 +16,7 @@ from graphfilt import (
     spectrum_grid,
 )
 from graphfilt import experiments
-from graphfilt.errors import CsvParseError
+from graphfilt.design import ideal_lowpass
 from graphfilt.experiments import (
     InterpolationTask,
     _backward_filter,
@@ -25,13 +25,11 @@ from graphfilt.experiments import (
     compress,
     compress_fir,
     experiment_graphs,
-    ideal_lowpass,
     interpolate,
     interpolation_study,
     predict,
     prediction_study,
     quantize_residual,
-    read_signal_csv,
     smooth_signal,
     universal_study,
 )
@@ -41,13 +39,13 @@ from graphfilt.spectral import complex_disc_grid, uniform_real_grid
 from conftest import interpolation_matrix
 
 
-def laplacian_op(n=32, seed=42):
-    _, undirected = experiment_graphs(n=n, seed=seed)
+def laplacian_op():
+    _, undirected = experiment_graphs()
     return normalize(undirected, NORMALIZED_LAPLACIAN)
 
 
-def adjacency_op(n=32, seed=42):
-    directed, _ = experiment_graphs(n=n, seed=seed)
+def adjacency_op():
+    directed, _ = experiment_graphs()
     return normalize(directed, NORMALIZED_ADJACENCY)
 
 
@@ -75,7 +73,7 @@ class TestSmoothSignal:
     def test_mask_profile_concentrates_low_frequencies(self):
         op = laplacian_op()
         dec = eigendecompose(op)
-        x = smooth_signal(dec, op.kind, np.random.default_rng(2), keep_frac=0.25)
+        x = smooth_signal(dec, op.kind, np.random.default_rng(2))
         x_hat = gft(dec, x)
         order = np.argsort(dec.lambdas.real)
         low = np.linalg.norm(x_hat[order[:8]])
@@ -326,28 +324,3 @@ class TestUniversalStudy:
         header = p1.read_text().splitlines()[0]
         assert header == "experiment,K,P,Q,method,rnmse_mean,rnmse_std,seed"
 
-
-class TestSignalCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "signals.csv"
-        path.write_text(
-            "node_id,timestamp,value\n"
-            "0,2014-01-01T00,1.5\n1,2014-01-01T00,2.5\n"
-            "0,2014-01-01T01,3.5\n1,2014-01-01T01,4.5\n"
-        )
-        stamps, matrix = read_signal_csv(path)
-        assert stamps == ["2014-01-01T00", "2014-01-01T01"]
-        assert np.array_equal(matrix, [[1.5, 2.5], [3.5, 4.5]])
-
-    def test_missing_cell_rejected(self, tmp_path):
-        path = tmp_path / "signals.csv"
-        path.write_text("node_id,timestamp,value\n0,t0,1.0\n1,t1,2.0\n")
-        with pytest.raises(CsvParseError):
-            read_signal_csv(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "signals.csv"
-        path.write_text("a,b,c\n0,t0,1.0\n")
-        with pytest.raises(CsvParseError) as err:
-            read_signal_csv(path)
-        assert err.value.line == 1

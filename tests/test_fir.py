@@ -20,7 +20,7 @@ from graphfilt import (
     uniform_real_grid,
     vandermonde,
 )
-from graphfilt.experiments import ideal_lowpass
+from graphfilt.design import ideal_lowpass
 from graphfilt.graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
