@@ -67,7 +67,6 @@ from .spectral import (
     complex_disc_grid,
     eigendecompose,
     gft,
-    grid_to_csv,
     igft,
     order_frequencies,
     spectrum_grid,

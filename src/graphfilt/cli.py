@@ -86,7 +86,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
     """Install --config JSON values as subcommand defaults.
 
     Values from the file act as defaults, so flags on the command line win.
-    Keys that match no flag of the invoked subcommand are rejected.
+    Each value goes through its flag's type and choices, as the flag's text
+    on a command line would. Keys that match no flag of the invoked
+    subcommand are rejected.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
@@ -104,17 +106,28 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     command = next((t for t in argv if t in sub_action.choices), None)
-    valid = {a.dest for a in parser._actions}
-    if command is not None:
-        valid |= {a.dest for a in sub_action.choices[command]._actions}
-    valid -= {"help", "command", "config"}
-    unknown = set(payload) - valid
+    target = parser if command is None else sub_action.choices[command]
+    actions = {a.dest: a for a in target._actions
+               if a.dest not in ("help", "command", "config")}
+    unknown = set(payload) - set(actions)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    if command is not None:
-        sub_action.choices[command].set_defaults(**payload)
-    else:
-        parser.set_defaults(**payload)
+    for key, value in payload.items():
+        action = actions[key]
+        if action.nargs == 0:  # a switch such as --directed
+            if not isinstance(value, bool):
+                raise ParameterError(f"config key {key!r} takes true or false, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ParameterError(f"config key {key!r} takes a string or a number, got {value!r}")
+        else:
+            payload[key] = target._get_values(action, [str(value)])
+    target.set_defaults(**payload)
+
+
+def _non_negative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _read_signal_column(path):
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--edges", help="edge-list CSV (src,dst,weight)")
     g.add_argument("--directed", action="store_true", help="edge list is directed")
     g.add_argument("--one-based", action="store_true", help="CSV indices start at 1")
-    g.add_argument("--seed", type=int, default=0, help="RNG seed")
+    g.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed")
     g.add_argument("-o", "--output", required=True, help="output graph JSON path")
     g.set_defaults(func=_cmd_gen_graph)
 
@@ -377,10 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k-max", type=int, default=16)
     e.add_argument("--k-step", type=int, default=2)
     e.add_argument("--trials", type=int, default=5)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_non_negative_int, default=0)
     e.add_argument("-o", "--output", required=True, help="output report CSV path")
     e.set_defaults(func=_cmd_experiment)
 
+    for each in (parser, *sub.choices.values()):
+        each.exit_on_error = False  # main reports a bad flag value as a parse error
     return parser
 
 
@@ -390,14 +405,11 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        seed = getattr(args, "seed", 0)  # --config values skip the flag's int type
-        if not isinstance(seed, int) or seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
         return args.func(args)
     except ConjugateSymmetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYMMETRY
-    except (CsvParseError, ParameterError) as exc:
+    except (argparse.ArgumentError, CsvParseError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionError as exc:

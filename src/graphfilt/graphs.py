@@ -46,14 +46,15 @@ _NILPOTENT_REL_TOL = 1e-12
 _SCIPY_AFTER_ARC_VISITS = 40_000_000
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted graph stored as arc arrays.
 
     Arc e runs from src[e] to dst[e] with weight w[e]; indices lie in
-    [0, n). Undirected graphs store both orientations of every edge, and
-    their adjacency, with repeated arcs summed, must be symmetric. The
-    arrays are read-only copies.
+    [0, n) and may come as integral floats. Undirected graphs store both
+    orientations of every edge, and their adjacency, with repeated arcs
+    summed, must be symmetric. The arrays are kept as read-only copies:
+    int64 indices and float64 weights.
     """
 
     n: int
@@ -62,29 +63,11 @@ class Graph:
     w: np.ndarray
     directed: bool
 
-    def __init__(self, n: int, edges, directed: bool):
-        """Build a graph from an iterable of (source, target, weight) rows."""
-        try:
-            table = np.array(list(edges), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"edges must be rows of numbers: {exc}") from exc
-        if table.shape == (0,):
-            table = table.reshape(0, 3)
-        if table.ndim != 2 or table.shape[1] != 3:
-            raise ParameterError("every edge needs 3 fields: source, target, weight")
-        self._set_arcs(n, table[:, 0], table[:, 1], table[:, 2], directed)
-
-    @classmethod
-    def from_arcs(cls, n: int, src, dst, w, directed: bool) -> Graph:
-        """Build a graph from parallel source, target and weight arrays."""
-        graph = cls.__new__(cls)
-        graph._set_arcs(n, src, dst, w, directed)
-        return graph
-
-    def _set_arcs(self, n, src, dst, w, directed) -> None:
+    def __post_init__(self):
+        n = self.n
         if n < 1:
             raise ParameterError(f"node count must be positive, got {n}")
-        src, dst, w = np.asarray(src), np.asarray(dst), np.array(w, dtype=float)
+        src, dst, w = np.asarray(self.src), np.asarray(self.dst), np.array(self.w, dtype=float)
         if not (w.ndim == 1 and src.shape == dst.shape == w.shape):
             raise ParameterError("source, target and weight arrays must be 1-D of one length")
         ends = np.stack([src, dst])
@@ -100,10 +83,8 @@ class Graph:
         for name, values in (("src", ends[0]), ("dst", ends[1]), ("w", w)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "directed", directed)
-        if not directed:
-            keys, values = _coalesce(n, self.src, self.dst, w)
+        if not self.directed:
+            keys, values = _coalesce(n, self.src, self.dst, w, np.add)
             mirror, mirrored = _mirror(n, keys, values)
             bad = np.flatnonzero(values != mirrored)
             if bad.size:
@@ -119,16 +100,6 @@ class Graph:
                     f"but A[{j},{i}]={there}"
                 )
 
-    @property
-    def edges(self) -> tuple:
-        """(source, target, weight) tuples in stored order, built on each access."""
-        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
-
-    @property
-    def edge_count(self) -> int:
-        """Number of stored directed arcs (undirected edges count twice)."""
-        return self.src.size
-
 
 def _index_dtype(n: int, nnz: int):
     # 32-bit indices, where n and nnz allow, halve the index bytes every
@@ -136,14 +107,15 @@ def _index_dtype(n: int, nnz: int):
     return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
-def _coalesce(n: int, rows, cols, values):
+def _coalesce(n: int, rows, cols, values, combine):
     """Distinct positions of the (row, col) entries as sorted row-major keys
-    row * n + col, with the values at a repeated position summed."""
+    row * n + col, with the values at a repeated position reduced by the
+    ufunc combine (np.add sums them)."""
     keys = rows * n + cols
     order = np.argsort(keys, kind="stable")  # linear on already sorted runs
     keys, values = keys[order], values[order]
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[first], np.add.reduceat(values, first)
+    return keys[first], combine.reduceat(values, first)
 
 
 def _mirror(n: int, keys, values):
@@ -212,7 +184,7 @@ class ShiftOperator:
     @cached_property
     def _symmetry_gap(self) -> tuple:
         """(max |S - S^T|, max(max |S|, 1)), with repeated entries summed."""
-        keys, values = _coalesce(self.n, self.rows, self.indices, self.data)
+        keys, values = _coalesce(self.n, self.rows, self.indices, self.data, np.add)
         _, mirrored = _mirror(self.n, keys, values)
         gap = float(np.max(np.abs(values - mirrored), initial=0.0))
         return gap, max(float(np.max(np.abs(values), initial=0.0)), 1.0)
@@ -256,7 +228,7 @@ def build_er_graph(n: int, p: float, seed: int) -> Graph:
     i, j = np.concatenate(heads), np.concatenate(tails)
     src = np.stack([i, j], axis=1).ravel()
     dst = np.stack([j, i], axis=1).ravel()
-    return Graph.from_arcs(n, src, dst, np.ones(src.size), directed=False)
+    return Graph(n, src, dst, np.ones(src.size), directed=False)
 
 
 def build_knn_directed(coords, k: int) -> Graph:
@@ -278,31 +250,27 @@ def build_knn_directed(coords, k: int) -> Graph:
     if np.min(off) == 0.0:
         raise DegenerateDistanceError("duplicate coordinates produce zero distance")
 
-    neighbors = []
-    for i in range(n):
-        order = np.lexsort((np.arange(n), dist[i]))
-        neighbors.append([int(j) for j in order if j != i][:k])
-    sums = np.array([np.sum(np.exp(-dist[i, neighbors[i]] ** 2)) for i in range(n)])
-
-    edges = []
-    for i in range(n):
-        for j in neighbors[i]:
-            w = math.exp(-dist[i, j] ** 2) / math.sqrt(sums[i] * sums[j])
-            edges.append((i, j, w))
-    return Graph(n=n, edges=tuple(edges), directed=True)
+    # a stable sort puts the lower index first among equal distances, and
+    # each node itself, at distance 0, first of all
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, 1:k + 1]
+    d = np.take_along_axis(dist, nearest, axis=1)
+    sums = np.sum(np.exp(-d ** 2), axis=1)
+    src, dst = np.repeat(np.arange(n), k), nearest.ravel()
+    # each arc's exp(-d^2) in scalar pow and math.exp, which round some
+    # arguments differently from numpy's array square and exp
+    kernel = np.array([math.exp(-x ** 2) for x in d.ravel().tolist()])
+    return Graph(n, src, dst, kernel / np.sqrt(sums[src] * sums[dst]), directed=True)
 
 
 def symmetrize_max(graph: Graph) -> Graph:
     """Undirected version of a graph, keeping the larger weight of each direction."""
-    pair = np.minimum(graph.src, graph.dst) * graph.n + np.maximum(graph.src, graph.dst)
-    order = np.argsort(pair, kind="stable")
-    pair, w = pair[order], graph.w[order]
-    first = np.flatnonzero(np.diff(pair, prepend=-1))
-    best = np.maximum(np.maximum.reduceat(w, first), 0.0) if w.size else w
-    i, j = np.divmod(pair[first], graph.n)
+    n = graph.n
+    pairs, best = _coalesce(n, np.minimum(graph.src, graph.dst),
+                            np.maximum(graph.src, graph.dst), graph.w, np.maximum)
+    i, j = np.divmod(pairs, n)
     src = np.stack([i, j], axis=1).ravel()
     dst = np.stack([j, i], axis=1).ravel()
-    return Graph.from_arcs(graph.n, src, dst, np.repeat(best, 2), directed=False)
+    return Graph(n, src, dst, np.repeat(np.maximum(best, 0.0), 2), directed=False)
 
 
 def _row_sums(n: int, rows, values) -> np.ndarray:
@@ -329,7 +297,7 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
     isolated nodes.
     """
     n = graph.n
-    keys, a = _coalesce(n, graph.src, graph.dst, graph.w)
+    keys, a = _coalesce(n, graph.src, graph.dst, graph.w, np.add)
     rows, cols = np.divmod(keys, n)
     if kind == NORMALIZED_ADJACENCY:
         radius = _spectral_radius(n, rows, cols, a)
@@ -350,7 +318,8 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
         # D - A: each degree joins its diagonal entry, less any self-loop
         diagonal = np.arange(n)
         keys, lap = _coalesce(n, np.concatenate([rows, diagonal]),
-                              np.concatenate([cols, diagonal]), np.concatenate([-a, deg]))
+                              np.concatenate([cols, diagonal]), np.concatenate([-a, deg]),
+                              np.add)
         rows, cols = np.divmod(keys, n)
         # (S + S^T) / 2, exactly symmetric however the products rounded; the
         # mirror entry needs no lookup, as D - A is exactly symmetric
@@ -443,7 +412,18 @@ def graph_from_json(text: str) -> Graph:
     if type(directed) is not bool:  # bool("false") is True
         raise CsvParseError(f"graph JSON 'directed' is not true or false: {directed!r}")
     try:
-        return Graph(n=n, edges=payload["edges"], directed=directed)
+        table = np.array(payload["edges"])  # rows of unequal length raise here
+        if table.shape == (0,):
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError
+    except ValueError as exc:
+        raise CsvParseError("invalid graph JSON: every edge needs 3 fields: "
+                            "source, target, weight") from exc
+    if table.dtype.kind not in "iuf":  # strings, nulls and all-boolean tables
+        raise CsvParseError("invalid graph JSON: edge fields must be JSON numbers")
+    try:
+        return Graph(n, table[:, 0], table[:, 1], table[:, 2], directed)
     except ParameterError as exc:
         raise CsvParseError(f"invalid graph JSON: {exc}") from exc
 
@@ -501,8 +481,9 @@ def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
                 entries[(j, i)] = w
             elif rev != w:
                 raise CsvParseError(f"asymmetric weights for undirected edge ({i},{j})")
-    edges = tuple((i, j, w) for (i, j), w in sorted(entries.items()))
-    return Graph(n=n, edges=edges, directed=directed)
+    pairs = sorted(entries)
+    src, dst = np.array(pairs).T
+    return Graph(n, src, dst, [entries[pair] for pair in pairs], directed)
 
 
 def read_coords_csv(path, one_based: bool = False) -> np.ndarray:

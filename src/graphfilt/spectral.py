@@ -7,7 +7,6 @@ real-coefficient guarantee downstream rests on it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -278,14 +277,3 @@ def validate_conjugate_pairs(values, grid: FrequencyGrid, rtol: float = 1e-8) ->
             f"value at real frequency {i} has imaginary part {v[i].imag:.3e}"
         )
     raise ConjugateSymmetryError(f"values at pair ({i},{int(pair[i])}) are not conjugate")
-
-
-def grid_to_csv(grid: FrequencyGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "is_real", "pair_index"])
-        for i, lam in enumerate(grid.lambdas):
-            writer.writerow(
-                [repr(float(lam.real)), repr(float(lam.imag)),
-                 int(grid.pair[i] == i), int(grid.pair[i])]
-            )

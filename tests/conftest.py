@@ -1,10 +1,12 @@
 """Shared test helpers: independent oracles and random problem generators."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphfilt import build_er_graph, design, eigendecompose, normalize
+from graphfilt import Graph, build_er_graph, design, eigendecompose, normalize
 from graphfilt.arma import ArmaFilter, check_stability
 from graphfilt.errors import InstabilityError
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
@@ -25,6 +27,17 @@ def power_iteration_radius(matrix, iterations=2000, seed=0):
         radius = norm
         v = w / norm
     return radius
+
+
+def graph_from_rows(n, rows, directed):
+    """Graph from (source, target, weight) rows."""
+    src, dst, w = np.array(rows, dtype=float).reshape(-1, 3).T
+    return Graph(n, src, dst, w, directed)
+
+
+def arc_rows(graph):
+    """(source, target, weight) tuples of a graph's arcs, in stored order."""
+    return tuple(zip(graph.src.tolist(), graph.dst.tolist(), graph.w.tolist()))
 
 
 def dense_adjacency(graph):
@@ -62,6 +75,21 @@ def triu_er_edges(n, p, seed):
     for i, j in zip(iu[linked], ju[linked]):
         edges += [(int(i), int(j), 1.0), (int(j), int(i), 1.0)]
     return tuple(edges)
+
+
+def loop_knn_rows(coords, k):
+    """Directed k-NN (source, target, weight) rows built node by node: the
+    reference for build_knn_directed, which must give the same bits."""
+    pts = np.asarray(coords, dtype=float)
+    n = len(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    neighbors = []
+    for i in range(n):
+        order = np.lexsort((np.arange(n), dist[i]))
+        neighbors.append([int(j) for j in order if j != i][:k])
+    sums = [np.sum(np.exp(-dist[i, neighbors[i]] ** 2)) for i in range(n)]
+    return tuple((i, j, math.exp(-dist[i, j] ** 2) / math.sqrt(sums[i] * sums[j]))
+                 for i in range(n) for j in neighbors[i])
 
 
 def random_pair_symmetric(grid, rng, scale=1.0):

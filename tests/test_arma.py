@@ -18,13 +18,13 @@ from graphfilt import (
     normalize,
     uniform_real_grid,
 )
-from graphfilt.graphs import Graph, NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
+from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 
-from conftest import random_stable_arma
+from conftest import graph_from_rows, random_stable_arma
 
 
 def two_path(kind):
-    g = Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+    g = graph_from_rows(2, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
     return normalize(g, kind)
 
 

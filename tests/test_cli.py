@@ -195,6 +195,7 @@ class TestMalformedGraph:
         pytest.param([[0, 1], [1, 0]], id="two-fields"),
         pytest.param([[0, "x", 1.0], [1, 0, 1.0]], id="non-numeric"),
         pytest.param([[0, 1.5, 1.0], [1.5, 0, 1.0]], id="fractional-index"),
+        pytest.param([["0", "1", "2.5"], ["1", "0", "2.5"]], id="string-fields"),
     ])
     def test_apply_exits_with_parse_code(self, tmp_path, capsys, edges):
         graph = tmp_path / "g.json"
@@ -293,6 +294,12 @@ class TestBadValues:
                      id="interpolation-negative-seed"),
         pytest.param(["experiment", "interpolation"], '{"seed": -1}',
                      id="config-negative-seed"),
+        pytest.param(["experiment", "interpolation"], '{"trials": 2.5}',
+                     id="config-fractional-trials"),
+        pytest.param(["gen-graph", "--er", "--n", "30", "--p", "0.2"], '{"directed": 1}',
+                     id="config-switch-not-boolean"),
+        pytest.param(["experiment", "interpolation"], '{"seed": null}',
+                     id="config-null-value"),
     ])
     def test_exits_with_parse_code(self, tmp_path, capsys, argv, config):
         out = tmp_path / "out"
@@ -304,6 +311,19 @@ class TestBadValues:
             code = run(argv + ["-o", str(out)])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_config_value_outside_choices(self, tmp_path, capsys, er_graph_file):
+        # a config value meets its flag's choices, as the flag's text would
+        (tmp_path / "f.json").write_text(ARMA_LOWPASS)
+        write_signal(tmp_path / "x.csv", np.ones(24))
+        (tmp_path / "cfg.json").write_text('{"solver": "lu"}')
+        out = tmp_path / "y.csv"
+        code = run(["apply", "--config", str(tmp_path / "cfg.json"), "--filter",
+                    str(tmp_path / "f.json"), "--graph", str(er_graph_file),
+                    "--input", str(tmp_path / "x.csv"), "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: argument --solver: invalid choice")
         assert not out.exists()
 
 

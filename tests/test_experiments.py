@@ -5,7 +5,6 @@ from graphfilt import (
     ArmaFilter,
     InstabilityError,
     CgConfig,
-    Graph,
     ParameterError,
     SingularSystemError,
     eigendecompose,
@@ -36,7 +35,7 @@ from graphfilt.experiments import (
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 from graphfilt.spectral import complex_disc_grid, uniform_real_grid
 
-from conftest import interpolation_matrix
+from conftest import graph_from_rows, interpolation_matrix
 
 
 def laplacian_op():
@@ -99,7 +98,7 @@ class TestInterpolate:
         assert np.linalg.norm(y - x) <= 1e-6 * np.linalg.norm(x)
 
     def test_two_node_hand_inversion(self):
-        g = Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+        g = graph_from_rows(2, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
         op = normalize(g, NORMALIZED_LAPLACIAN)
         task = InterpolationTask(mask=np.array([True, False]), omega=1.0)
         observed = np.array([3.0, 0.0])
@@ -123,7 +122,7 @@ class TestInterpolate:
             (0, 1, 1.0), (1, 0, 1.0),
             (2, 3, 1.0), (3, 2, 1.0),
         )
-        op = normalize(Graph(n=4, edges=edges, directed=False), NORMALIZED_LAPLACIAN)
+        op = normalize(graph_from_rows(4, edges, directed=False), NORMALIZED_LAPLACIAN)
         task = InterpolationTask(mask=np.array([True, False, False, False]), omega=1.0)
         with pytest.raises(SingularSystemError):
             interpolate(op, np.ones(4), task, CgConfig())
@@ -214,7 +213,7 @@ class TestPrediction:
         # passes zeros, and the backward system is singular
         from graphfilt.arma import arma_apply_direct
 
-        g = Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+        g = graph_from_rows(2, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
         op = normalize(g, NORMALIZED_ADJACENCY)
         x = np.array([1.0, 1.0])
         filt = ArmaFilter(a=[1.0, 0.5], b=[0.0, 1.5])

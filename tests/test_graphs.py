@@ -32,15 +32,18 @@ from graphfilt.graphs import (
 )
 
 from conftest import (
+    arc_rows,
     dense_adjacency,
     dense_normalized_laplacian,
+    graph_from_rows,
+    loop_knn_rows,
     power_iteration_radius,
     triu_er_edges,
 )
 
 
 def two_path():
-    return Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+    return graph_from_rows(2, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
 
 
 def directed_knn(n, k, seed):
@@ -51,30 +54,30 @@ def weighted_er(n, p, seed):
     g = build_er_graph(n, p, seed)
     weights = np.random.default_rng(seed).random((n, n))
     w = weights[np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)]
-    return Graph.from_arcs(n, g.src, g.dst, w, directed=False)
+    return Graph(n, g.src, g.dst, w, directed=False)
 
 
 class TestErdosRenyi:
     def test_zero_probability_gives_no_edges(self):
-        assert build_er_graph(4, 0.0, 1).edge_count == 0
+        assert build_er_graph(4, 0.0, 1).src.size == 0
 
     def test_unit_probability_gives_complete_graph(self):
         g = build_er_graph(4, 1.0, 1)
-        assert g.edge_count == 12  # 6 undirected edges, both orientations
+        assert g.src.size == 12  # 6 undirected edges, both orientations
 
     def test_edge_count_within_three_sigma(self):
         # binomial count oracle: mean p*C(100,2) = 495, sigma = sqrt(495*0.9)
         g = build_er_graph(100, 0.1, 7)
-        undirected = g.edge_count // 2
+        undirected = g.src.size // 2
         mean, sigma = 495.0, math.sqrt(495.0 * 0.9)
         assert abs(undirected - mean) <= 3 * sigma
 
     @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (30, 0.2, 3), (257, 0.05, 7)])
     def test_row_draws_match_one_draw_over_the_triangle(self, n, p, seed):
-        assert build_er_graph(n, p, seed).edges == triu_er_edges(n, p, seed)
+        assert arc_rows(build_er_graph(n, p, seed)) == triu_er_edges(n, p, seed)
 
     def test_deterministic_given_seed(self):
-        assert build_er_graph(50, 0.3, 9).edges == build_er_graph(50, 0.3, 9).edges
+        assert arc_rows(build_er_graph(50, 0.3, 9)) == arc_rows(build_er_graph(50, 0.3, 9))
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ParameterError):
@@ -88,7 +91,7 @@ class TestKnn:
         # nodes at x = 0, 1, 2 with k=1: node 0 links to node 1 and the
         # weight is exp(-1)/sqrt(exp(-1)*exp(-1)) = 1
         g = build_knn_directed([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], k=1)
-        weights = {(i, j): w for i, j, w in g.edges}
+        weights = {(i, j): w for i, j, w in arc_rows(g)}
         assert (0, 1) in weights
         assert weights[(0, 1)] == pytest.approx(1.0, abs=1e-12)
         # node 1 ties between 0 and 2; lower index wins
@@ -98,9 +101,32 @@ class TestKnn:
         rng = np.random.default_rng(0)
         g = build_knn_directed(rng.random((32, 2)), k=6)
         out = np.zeros(32, dtype=int)
-        for i, _, _ in g.edges:
+        for i, _, _ in arc_rows(g):
             out[i] += 1
         assert np.all(out == 6)
+
+    def test_equal_distances_at_kth_neighbor_go_to_lower_index(self):
+        # integer lattice, node x * 3 + y: squared distances are exact
+        # integers, so equal distances tie exactly and straddle the k-th
+        # neighbor of most nodes
+        coords = [(x, y) for x in range(4) for y in range(3)]
+        for k in (1, 2, 3, 5):
+            g = build_knn_directed(np.array(coords, dtype=float), k=k)
+            for i, (xi, yi) in enumerate(coords):
+                ranked = sorted((j for j in range(len(coords)) if j != i),
+                                key=lambda j: ((coords[j][0] - xi) ** 2
+                                               + (coords[j][1] - yi) ** 2, j))
+                assert set(g.dst[g.src == i].tolist()) == set(ranked[:k])
+        g = build_knn_directed(np.array(coords, dtype=float), k=2)
+        # the centre node 4 has four neighbors at distance 1: 1, 3, 5, 7;
+        # node 1 has three (0, 2, 4), and node 3 has three (0, 4, 6)
+        assert [sorted(g.dst[g.src == i].tolist()) for i in (4, 1, 3)] == [
+            [1, 3], [0, 2], [0, 4]]
+
+    @pytest.mark.parametrize("n, k", [(600, 8), (150, 1)])
+    def test_bit_identical_to_per_node_loop(self, n, k):
+        coords = np.random.default_rng(n).random((n, 2)) * 3 * np.sqrt(n / 32)
+        assert arc_rows(build_knn_directed(coords, k)) == loop_knn_rows(coords, k)
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(DegenerateDistanceError):
@@ -110,7 +136,7 @@ class TestKnn:
         # the weight formula is symmetric in its endpoints, so mutually
         # nearest nodes carry equal weights in both directions
         g = build_knn_directed([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)], k=1)
-        w = {(i, j): wt for i, j, wt in g.edges}
+        w = {(i, j): wt for i, j, wt in arc_rows(g)}
         assert w[(0, 1)] == pytest.approx(w[(1, 0)], rel=1e-12)
 
     def test_symmetrized_adjacency_is_symmetric(self):
@@ -128,14 +154,14 @@ class TestNormalize:
         assert np.allclose(sorted(eig), [0.0, 2.0], atol=1e-12)
 
     def test_nilpotent_adjacency_falls_back_to_row_sum(self):
-        g = Graph(n=2, edges=((0, 1, 3.0),), directed=True)
+        g = graph_from_rows(2, ((0, 1, 3.0),), directed=True)
         op = normalize(g, NORMALIZED_ADJACENCY)
         assert op.norm_fallback
         assert op.spectral_norm == pytest.approx(3.0)
         assert op.dense()[0, 1] == pytest.approx(1.0)
 
     def test_zero_graph_rejected(self):
-        g = Graph(n=2, edges=(), directed=False)
+        g = graph_from_rows(2, (), directed=False)
         with pytest.raises(ZeroNormError):
             normalize(g, NORMALIZED_ADJACENCY)
 
@@ -151,12 +177,12 @@ class TestNormalize:
         assert power_iteration_radius(op.dense()) == pytest.approx(1.0, abs=1e-9)
 
     def test_laplacian_requires_undirected(self):
-        g = Graph(n=2, edges=((0, 1, 1.0),), directed=True)
+        g = graph_from_rows(2, ((0, 1, 1.0),), directed=True)
         with pytest.raises(ParameterError):
             normalize(g, NORMALIZED_LAPLACIAN)
 
     def test_isolated_node_rejected_for_laplacian(self):
-        g = Graph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+        g = graph_from_rows(3, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
         with pytest.raises(ZeroDegreeError):
             normalize(g, NORMALIZED_LAPLACIAN)
 
@@ -197,7 +223,7 @@ class TestNormalize:
             monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         op = normalize(g, NORMALIZED_LAPLACIAN)
-        assert op.matrix.nnz == g.edge_count + g.n
+        assert op.matrix.nnz == g.src.size + g.n
 
     def test_laplacian_symmetric_to_machine_tolerance(self):
         g = build_er_graph(40, 0.3, 11)
@@ -245,7 +271,7 @@ class TestProductKernels:
         pytest.param(lambda: directed_knn(200, 6, 3), NORMALIZED_ADJACENCY,
                      id="knn-adjacency"),
         # node 3 has an in-arc but no out-arc: row 3 is empty
-        pytest.param(lambda: Graph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5),
+        pytest.param(lambda: graph_from_rows(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5),
                                                (2, 3, 1.5)), directed=True),
                      NORMALIZED_ADJACENCY, id="empty-row"),
     ])
@@ -263,7 +289,7 @@ class TestSymmetry:
         # A[1,0] = 2 has no mirror; the first offending (i, j) in row-major
         # order is the unstored (0, 1)
         with pytest.raises(ParameterError, match=r"A\[0,1\]=0.0 but A\[1,0\]=2.0"):
-            Graph(n=3, edges=((1, 0, 2.0), (1, 2, 1.0), (2, 1, 1.0)), directed=False)
+            graph_from_rows(3, ((1, 0, 2.0), (1, 2, 1.0), (2, 1, 1.0)), directed=False)
 
     @pytest.mark.parametrize("entries, tol, expected", [
         pytest.param([[0.0, 1.0], [1.0, 0.0]], 0.0, True, id="exact"),
@@ -280,27 +306,27 @@ class TestSymmetry:
 class TestGraphValidation:
     def test_missing_reverse_edge_rejected(self):
         with pytest.raises(ParameterError):
-            Graph(n=2, edges=((0, 1, 1.0),), directed=False)
+            graph_from_rows(2, ((0, 1, 1.0),), directed=False)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ParameterError):
-            Graph(n=2, edges=((0, 5, 1.0),), directed=True)
+            graph_from_rows(2, ((0, 5, 1.0),), directed=True)
 
     def test_fractional_index_rejected(self):
         with pytest.raises(ParameterError):
-            Graph(n=3, edges=((0, 1.5, 1.0),), directed=True)
+            graph_from_rows(3, ((0, 1.5, 1.0),), directed=True)
 
     def test_symmetry_checked_on_summed_adjacency(self):
         # repeated arcs add up: two unit arcs 0 -> 1 mirror one arc 1 -> 0 of
         # weight 2, while arcs of weights 1 and 2 do not
-        g = Graph(n=2, edges=((0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)), directed=False)
+        g = graph_from_rows(2, ((0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)), directed=False)
         assert dense_adjacency(g).tolist() == [[0.0, 2.0], [2.0, 0.0]]
         with pytest.raises(ParameterError):
-            Graph(n=2, edges=((0, 1, 1.0), (0, 1, 2.0), (1, 0, 2.0)), directed=False)
+            graph_from_rows(2, ((0, 1, 1.0), (0, 1, 2.0), (1, 0, 2.0)), directed=False)
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ParameterError):
-            Graph(n=2, edges=((0, 1, float("nan")),), directed=True)
+            graph_from_rows(2, ((0, 1, float("nan")),), directed=True)
 
 
 class TestFileFormats:
@@ -309,7 +335,7 @@ class TestFileFormats:
         text = graph_to_json(g)
         loaded = graph_from_json(text)
         assert loaded.n == g.n and loaded.directed == g.directed
-        assert set(loaded.edges) == set(g.edges)
+        assert set(arc_rows(loaded)) == set(arc_rows(g))
         assert graph_to_json(build_er_graph(20, 0.3, 4)) == text
 
     @pytest.mark.parametrize("n, directed", [
@@ -325,6 +351,18 @@ class TestFileFormats:
         with pytest.raises(CsvParseError):
             graph_from_json(text)
 
+    @pytest.mark.parametrize("edges", [
+        pytest.param([["0", "1", "2.5"], ["1", "0", "2.5"]], id="string-fields"),
+        pytest.param([[0, 1, "2.5"], [1, 0, 2.5]], id="string-weight"),
+        pytest.param([[0, 1, None], [1, 0, 1.0]], id="null-weight"),
+        pytest.param([[0, 1, 1.0], [1, 0]], id="ragged-rows"),
+        pytest.param([0, 1, 1.0], id="flat-row"),
+    ])
+    def test_json_edge_fields_must_be_numbers(self, edges):
+        text = json.dumps({"n": 2, "directed": False, "edges": edges})
+        with pytest.raises(CsvParseError):
+            graph_from_json(text)
+
     def test_edge_csv_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\n0,1,2.5\n1,2,1.0\n")
@@ -337,7 +375,7 @@ class TestFileFormats:
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\n1,2,1.0\n")
         g = read_edge_csv(path, directed=True, one_based=True)
-        assert g.edges == ((0, 1, 1.0),)
+        assert arc_rows(g) == ((0, 1, 1.0),)
 
     def test_edge_csv_bad_header(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -1,12 +1,9 @@
-import csv
-
 import numpy as np
 import pytest
 
 from graphfilt import (
     ConjugateSymmetryError,
     DimensionError,
-    Graph,
     ParameterError,
     build_er_graph,
     build_knn_directed,
@@ -14,7 +11,6 @@ from graphfilt import (
     custom_operator,
     eigendecompose,
     gft,
-    grid_to_csv,
     igft,
     normalize,
     order_frequencies,
@@ -29,15 +25,17 @@ from graphfilt.spectral import (
     validate_conjugate_pairs,
 )
 
+from conftest import graph_from_rows
+
 
 def two_path_laplacian():
-    g = Graph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=False)
+    g = graph_from_rows(2, ((0, 1, 1.0), (1, 0, 1.0)), directed=False)
     return normalize(g, NORMALIZED_LAPLACIAN)
 
 
 def directed_cycle(n=3):
     edges = tuple((i, (i + 1) % n, 1.0) for i in range(n))
-    g = Graph(n=n, edges=edges, directed=True)
+    g = graph_from_rows(n, edges, directed=True)
     return normalize(g, NORMALIZED_ADJACENCY)
 
 
@@ -240,14 +238,3 @@ class TestGrids:
                 pair=np.array([0, 1]),
             )
 
-    def test_csv_export(self, tmp_path):
-        grid = complex_disc_grid(10)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["re", "im", "is_real", "pair_index"]
-        assert len(rows) == 11
-        for i, row in enumerate(rows[1:]):
-            assert float(row[0]) == grid.lambdas[i].real
-            assert int(row[3]) == grid.pair[i]
