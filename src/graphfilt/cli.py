@@ -85,7 +85,8 @@ def _atomic_writer(path: str, write_fn) -> None:
 def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
     """Install --config JSON values as subcommand defaults.
 
-    Values from the file act as defaults, so flags on the command line win.
+    Values from the file act as defaults, so flags on the command line win,
+    and a flag the file supplies is no longer required on the command line.
     Each value goes through its flag's type and choices, as the flag's text
     on a command line would. Keys that match no flag of the invoked
     subcommand are rejected.
@@ -121,6 +122,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
             raise ParameterError(f"config key {key!r} takes a string or a number, got {value!r}")
         else:
             payload[key] = target._get_values(action, [str(value)])
+        action.required = False
     target.set_defaults(**payload)
 
 

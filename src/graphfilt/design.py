@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -163,27 +164,52 @@ class _Basis:
     h_norm: float
     abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
 
-    def score(self, alpha, beta):
-        """True RNMSE of the response beta/alpha, and its weighted error vector.
+    def scores(self, alpha, beta):
+        """True RNMSEs of the responses beta/alpha, and their weighted error vectors.
 
-        The RNMSE is inf when the response or the error norm is not finite;
-        the error vector w * (h - beta/alpha) may then hold non-finite entries.
+        alpha and beta stack the denominator and numerator values of several
+        responses as rows. A row's RNMSE is inf when its response or error
+        norm is not finite; its error vector w * (h - beta/alpha) may then
+        hold non-finite entries.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resp = beta / alpha
             err = self.h - resp
             if self.weights is not None:
                 err *= self.weights
-            if not np.isfinite(resp).all():
-                return float("inf"), err
+            finite = np.isfinite(resp).all(axis=1)
             if self.abs_h is None:
                 dev = err
             else:
                 dev = self.abs_h - np.abs(resp)
                 if self.weights is not None:
                     dev *= self.weights
-            val = np.linalg.norm(dev) / self.h_norm
-        return (float(val) if np.isfinite(val) else float("inf")), err
+            vals = np.sqrt(_sq_norms(dev, finite)) / self.h_norm
+        vals[~np.isfinite(vals)] = np.inf
+        return vals, err
+
+    def score(self, a, b) -> float:
+        """True RNMSE of the filter with coefficients a and b."""
+        return float(self.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
+
+
+def _sq_norms(rows, selected) -> np.ndarray:
+    """Squared l2 norm of each selected row, inf for the others.
+
+    Each is the dot product, or the sum of the real and imaginary parts'
+    dot products, that np.linalg.norm takes of one vector, so a row gets
+    the same bits in any stack.
+    """
+    out = np.full(len(rows), np.inf)
+    picked = np.flatnonzero(selected).tolist()
+    if np.iscomplexobj(rows):
+        re, im = rows.real, rows.imag
+        for i in picked:
+            out[i] = re[i].dot(re[i]) + im[i].dot(im[i])
+    else:
+        for i in picked:
+            out[i] = rows[i].dot(rows[i])
+    return out
 
 
 def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
@@ -205,8 +231,7 @@ def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
 
 def true_error(filt: ArmaFilter, problem: DesignProblem) -> float:
     """RNMSE of the true design error h - b(lambda)/a(lambda)."""
-    basis = _basis(problem, len(filt.a), len(filt.b))
-    return basis.score(basis.psi_p @ filt.a, basis.psi_q @ filt.b)[0]
+    return _basis(problem, len(filt.a), len(filt.b)).score(filt.a, filt.b)
 
 
 def modified_error(filt: ArmaFilter, problem: DesignProblem) -> float:
@@ -218,48 +243,73 @@ def modified_error(filt: ArmaFilter, problem: DesignProblem) -> float:
     return float(np.linalg.norm(err) / np.linalg.norm(w * problem.h_hat))
 
 
-def _a0_buffers(basis: _Basis):
-    """Empty lhs and rhs for the a0 = 1 system of a basis."""
-    n, ar = basis.psi_p.shape[0], basis.psi_p.shape[1] - 1
-    lhs = np.empty((n, ar + basis.psi_b.shape[1]), dtype=basis.h.dtype)
-    return lhs, np.empty(n, dtype=basis.h.dtype)
+@dataclass(frozen=True)
+class _A0Systems:
+    """The a0 = 1 least-squares systems of problems that share P + Q.
 
-
-def _fill_a0_system(lhs, rhs, gamma, basis: _Basis) -> None:
-    """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b] into lhs and -G h into rhs.
-
-    G = diag(gamma). The unknowns are theta = [a_1..a_P; b], with a0 = 1
-    moved to the right side.
+    The unknowns are theta = [a_1..a_P; b], with a0 = 1 moved to the right
+    side. Systems are stored transposed, so that every elementwise pass runs
+    along the grid: template[c] holds [Psi_P[:, 1:] | Psi_b].T of problem c
+    and a_rows[c] marks its Psi_P rows. The problems share the target and
+    the weights, so one basis scores them all.
     """
-    ar = basis.psi_p.shape[1] - 1
-    np.multiply(gamma[:, None], basis.psi_p[:, 1:], out=lhs[:, :ar])
-    lhs[:, :ar] *= basis.h[:, None]
-    np.multiply(gamma[:, None], basis.psi_b, out=lhs[:, ar:])
-    np.negative(lhs[:, ar:], out=lhs[:, ar:])
-    np.multiply(gamma, basis.h, out=rhs)
-    np.negative(rhs, out=rhs)
+
+    template: np.ndarray
+    a_rows: np.ndarray
+    basis: _Basis
+
+    @classmethod
+    def build(cls, bases):
+        lead = bases[0]
+        ar = [bs.psi_p.shape[1] - 1 for bs in bases]
+        template = np.empty((len(bases), ar[0] + lead.psi_b.shape[1], len(lead.h)),
+                            dtype=lead.h.dtype)
+        for t, p, bs in zip(template, ar, bases):
+            t[:p] = bs.psi_p[:, 1:].T
+            t[p:] = bs.psi_b.T
+        a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
+        return cls(template, a_rows[:, :, None], lead)
+
+    def fill(self, lhs, rhs, gamma) -> None:
+        """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b].T into lhs[c] and -G h into rhs[c].
+
+        G = diag(gamma[c]). Each entry is (gamma * psi) * h or -(gamma * psi),
+        the same operations in the same order for every problem of the stack.
+        """
+        h = self.basis.h
+        np.multiply(gamma[:, None, :], self.template, out=lhs)
+        np.multiply(lhs, h, out=lhs, where=self.a_rows)
+        np.negative(lhs, out=lhs, where=~self.a_rows)
+        np.multiply(gamma, h, out=rhs)
+        np.negative(rhs, out=rhs)
+
+    def weigh(self, lhs, rhs) -> None:
+        """Scale the filled systems by the weights (None for all ones)."""
+        w = self.basis.weights
+        if w is not None:
+            lhs *= w
+            rhs *= w
+
+    def keep(self, rows):
+        return _A0Systems(self.template[rows], self.a_rows[rows], self.basis)
 
 
-def _solve_a0_constrained(lhs, rhs, weights, ar_order, b0_zero):
-    """Weighted least squares over a system filled by _fill_a0_system.
+def _solve_a0(lhs, rhs, problem: DesignProblem):
+    """Least squares over one filled and weighted a0 = 1 system.
 
-    weights (None for all ones) scale lhs and rhs in place. Returns
-    (a, b, imag residue before truncation, rank_deficient).
+    Returns (a, b, imag residue before truncation, rank_deficient).
     """
-    if weights is not None:
-        lhs *= weights[:, None]
-        rhs *= weights
     theta, residue, rank = _solve_real_lstsq(lhs, rhs)
-    a = np.concatenate([[1.0], theta[:ar_order]])
-    b_tail = theta[ar_order:]
-    b = np.concatenate([[0.0], b_tail]) if b0_zero else b_tail
+    a = np.concatenate([[1.0], theta[:problem.ar_order]])
+    b_tail = theta[problem.ar_order:]
+    b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
     return a, b, residue, rank < lhs.shape[1]
 
 
 def _make_report(a, b, problem, basis, method, residue, warnings,
                  iterations=0, history=None, converged=True, iterates=()):
     filt = ArmaFilter(a=a, b=b)
-    err_true = basis.score(basis.psi_p @ a, basis.psi_q @ b)[0]
+    err_true = basis.score(a, b)
     return DesignReport(
         filter=filt,
         rnmse_true=err_true,
@@ -278,11 +328,12 @@ def _make_report(a, b, problem, basis, method, residue, warnings,
 def prony_ls(problem: DesignProblem) -> DesignReport:
     """Minimize the modified error ||h * a(lambda) - b(lambda)|| with a0 = 1."""
     basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    lhs, rhs = _a0_buffers(basis)
-    _fill_a0_system(lhs, rhs, np.ones(problem.grid.n), basis)
-    a, b, residue, deficient = _solve_a0_constrained(
-        lhs, rhs, problem.weights, problem.ar_order, problem.constrain_b0_zero
-    )
+    systems = _A0Systems.build([basis])
+    lhs = np.empty_like(systems.template)
+    rhs = np.empty((1, problem.grid.n), dtype=basis.h.dtype)
+    systems.fill(lhs, rhs, np.ones((1, problem.grid.n)))
+    systems.weigh(lhs, rhs)
+    a, b, residue, deficient = _solve_a0(lhs[0].T, rhs[0], problem)
     warnings = ("rank-deficient",) if deficient else ()
     return _make_report(a, b, problem, basis, PRONY_LS, residue, warnings)
 
@@ -294,8 +345,14 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     numerator Vandermonde range; step 2 solves the true-error least squares
     for b with the denominator frozen.
     """
-    w = problem.weight_vector
     basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+    a, b, residue, warnings = _projection_fit(problem, basis)
+    return _make_report(a, b, problem, basis, PRONY_PROJECTION, residue, warnings)
+
+
+def _projection_fit(problem: DesignProblem, basis: _Basis):
+    """The coefficients of prony_projection: (a, b, imag residue, warnings)."""
+    w = problem.weight_vector
     psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.h
 
     weighted_b = w[:, None] * psi_b
@@ -315,9 +372,119 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     b_lhs = w[:, None] * (gamma[:, None] * psi_b)
     b_tail, residue_b, _ = _solve_real_lstsq(b_lhs, w * h)
     b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
+    return a, b, max(residue_a, residue_b), warnings
+
+
+@dataclass
+class _Run:
+    """One problem's passes: its iterates, the initialization first, and
+    their true errors."""
+
+    problem: DesignProblem
+    basis: _Basis
+    iterates: list
+    history: list
+    max_residue: float
+    converged: bool
+    warnings: set
+    error: np.linalg.LinAlgError | None  # raised by a solve; ends the run
+
+    @classmethod
+    def start(cls, problem: DesignProblem, init: ArmaFilter | None):
+        """A run from init, or from the prony_projection design."""
+        basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+        if init is None:
+            init = ArmaFilter(*_projection_fit(problem, basis)[:2])
+        return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None)
+
+
+def _iterate(runs, tau: int) -> None:
+    """Run the passes of iterative_design for several runs in lockstep.
+
+    The runs' problems share grid, target, weights, b0 pin and P + Q. A run
+    leaves the loop when the l2 change of its error vector drops below
+    _DELTA_C, when its system goes non-finite, when its solve raises
+    LinAlgError (kept in run.error), or after tau passes.
+
+    The weights, the system fill, the finite checks and the score run once
+    per pass, on stacked arrays with one row per live run. The least-squares
+    solve, the products alpha = Psi_P a and beta = Psi_Q b and the norms'
+    dot products run per run, so each run gets the bits it would get alone.
+    """
+    if tau < 1:
+        raise ParameterError(f"need at least one iteration, got {tau}")
+    systems = _A0Systems.build([run.basis for run in runs])
+    alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
+    beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
+    err_true, err_prev = systems.basis.scores(alpha, beta)
+    for run, e in zip(runs, err_true.tolist()):
+        run.history.append(e)
+    lhs, rhs = np.empty_like(systems.template), np.empty_like(alpha)
+    live = runs  # the runs still iterating, one per row of the stacks
+
+    for _ in range(tau):
+        n = len(live)
+        rho = _RHO * np.abs(alpha).max(axis=1)
+        denom = alpha + rho[:, None]
+        zero = denom == 0.0
+        if zero.any():
+            for i in zero.any(axis=1).nonzero()[0]:
+                denom[i] = np.where(zero[i], max(rho[i], 1e-30), denom[i])
+                live[i].warnings.add("denominator-regularized")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            systems.fill(lhs[:n], rhs[:n], np.divide(1.0, denom, out=denom))
+        going = (np.isfinite(lhs[:n].view(np.float64)).all(axis=(1, 2))
+                 & np.isfinite(rhs[:n].view(np.float64)).all(axis=1)).tolist()
+        systems.weigh(lhs[:n], rhs[:n])
+        for i, run in enumerate(live):
+            if not going[i]:
+                run.warnings.add("non-finite-iterate")
+                continue
+            try:
+                a, b, residue, deficient = _solve_a0(lhs[i].T, rhs[i], run.problem)
+            except np.linalg.LinAlgError as exc:
+                run.error = exc
+                going[i] = False
+                continue
+            if deficient:
+                run.warnings.add("rank-deficient")
+            run.max_residue = max(run.max_residue, residue)
+            run.iterates.append((a, b))
+            np.matmul(run.basis.psi_p, a, out=alpha[i])
+            np.matmul(run.basis.psi_q, b, out=beta[i])
+        err_true, err_new = systems.basis.scores(alpha, beta)
+        finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
+        with np.errstate(invalid="ignore"):
+            delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
+        for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
+            if going[i]:
+                live[i].history.append(e)
+                if d < _DELTA_C:
+                    live[i].converged = True
+                    going[i] = False
+        if not all(going):
+            live = [run for run, g in zip(live, going) if g]
+            if not live:
+                break
+            systems = systems.keep(going)
+            alpha, beta, err_new = alpha[going], beta[going], err_new[going]
+        err_prev = err_new
+
+
+def _iterative_report(run: _Run) -> DesignReport:
+    """The report of a run: its best-error iterate, with the whole history."""
+    if not np.isfinite(run.history).any():
+        raise InstabilityError(
+            "every iterate produced an unstable filter", history=tuple(run.history)
+        )
+    a, b = run.iterates[int(np.argmin(run.history))]
     return _make_report(
-        a, b, problem, basis, PRONY_PROJECTION,
-        max(residue_a, residue_b), warnings,
+        a, b, run.problem, run.basis, ITERATIVE, run.max_residue,
+        sorted(run.warnings),
+        iterations=len(run.history) - 1,
+        history=run.history,
+        converged=run.converged,
+        iterates=[ArmaFilter(a=ai, b=bi) for ai, bi in run.iterates],
     )
 
 
@@ -332,78 +499,25 @@ def iterative_design(
     solves the linearized least squares with a0 = 1, and tracks the true
     error. Iterations stop when the l2 change of the error vector drops
     below _DELTA_C or after tau passes; the reported filter is the
-    best-error iterate over the whole history, with the initialization as
-    iterate 0.
+    best-error iterate over the whole history, with the initialization
+    (the prony_projection design by default) as iterate 0.
 
     A pass costs one least-squares solve and one evaluation of alpha = Psi_P a
     and beta = Psi_Q b, which serves the true error, the stopping test and
     the next pass's weights.
     """
-    if tau < 1:
-        raise ParameterError(f"need at least one iteration, got {tau}")
-    if init is None:
-        init = prony_projection(problem).filter
-    if init.ar_order != problem.ar_order or init.ma_order != problem.ma_order:
+    if init is not None and (
+        init.ar_order != problem.ar_order or init.ma_order != problem.ma_order
+    ):
         raise ParameterError(
             f"init orders ({init.ar_order},{init.ma_order}) do not match problem "
             f"({problem.ar_order},{problem.ma_order})"
         )
-    basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    psi_p, psi_q = basis.psi_p, basis.psi_q
-    lhs, rhs = _a0_buffers(basis)
-
-    a, b = init.a, init.b
-    alpha = psi_p @ a
-    err_true, err_prev = basis.score(alpha, psi_q @ b)
-    iterates = [(a, b)]
-    history = [err_true]
-    max_residue = 0.0
-    converged = False
-    warnings = set()
-
-    for _ in range(tau):
-        rho = _RHO * float(np.max(np.abs(alpha)))
-        denom = alpha + rho
-        bad = denom == 0.0
-        if np.any(bad):
-            denom = np.where(bad, max(rho, 1e-30), denom)
-            warnings.add("denominator-regularized")
-        _fill_a0_system(lhs, rhs, 1.0 / denom, basis)
-        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-            warnings.add("non-finite-iterate")
-            break
-        a, b, residue, deficient = _solve_a0_constrained(
-            lhs, rhs, basis.weights, problem.ar_order, problem.constrain_b0_zero
-        )
-        if deficient:
-            warnings.add("rank-deficient")
-        max_residue = max(max_residue, residue)
-        iterates.append((a, b))
-        alpha = psi_p @ a
-        err_true, err_new = basis.score(alpha, psi_q @ b)
-        history.append(err_true)
-        finite = np.isfinite(err_new).all()
-        delta = float(np.linalg.norm(err_new - err_prev)) if finite else float("inf")
-        err_prev = err_new
-        if delta < _DELTA_C:
-            converged = True
-            break
-
-    finite_hist = [e for e in history if np.isfinite(e)]
-    if not finite_hist:
-        raise InstabilityError(
-            "every iterate produced an unstable filter", history=tuple(history)
-        )
-    best = int(np.argmin([e if np.isfinite(e) else np.inf for e in history]))
-    a_best, b_best = iterates[best]
-    return _make_report(
-        a_best, b_best, problem, basis, ITERATIVE, max_residue,
-        sorted(warnings),
-        iterations=len(history) - 1,
-        history=history,
-        converged=converged,
-        iterates=[ArmaFilter(a=ai, b=bi) for ai, bi in iterates],
-    )
+    run = _Run.start(problem, init)
+    _iterate([run], tau)
+    if run.error is not None:
+        raise run.error
+    return _iterative_report(run)
 
 
 def run_method(method: str, problem: DesignProblem, tau: int = 50) -> DesignReport:
@@ -437,7 +551,8 @@ def best_order_search(
 
     Ties break toward smaller AR order, then smaller MA order, so the
     reduction is deterministic regardless of evaluation order. Candidates
-    whose design fails are skipped.
+    whose design fails are skipped. The iterative method runs the passes of
+    all splits with the same ar + ma in lockstep, and reports only the winner.
     """
     cands = [
         (p, q)
@@ -447,21 +562,33 @@ def best_order_search(
     if not cands:
         raise ParameterError(f"no feasible orders for budget {budget} on {grid.n} points")
 
-    def attempt(p, q):
-        try:
+    scored = []
+    if method == ITERATIVE:
+        for _, group in groupby(cands, key=sum):
+            runs = []
+            for p, q in group:
+                problem = DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=q)
+                try:
+                    runs.append(_Run.start(problem, None))
+                except (InstabilityError, np.linalg.LinAlgError):
+                    continue
+            if runs:
+                _iterate(runs, tau)
+            scored += [
+                (min(run.history), run.problem.ar_order, run.problem.ma_order, run)
+                for run in runs
+                if run.error is None
+            ]
+    else:
+        for p, q in cands:
             problem = DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=q)
-            return run_method(method, problem, tau=tau)
-        except (InstabilityError, np.linalg.LinAlgError):
-            return None
-
-    reports = [attempt(p, q) for p, q in cands]
-
-    scored = [
-        (rep.rnmse_true, rep.filter.ar_order, rep.filter.ma_order, rep)
-        for rep in reports
-        if rep is not None and np.isfinite(rep.rnmse_true)
-    ]
+            try:
+                rep = run_method(method, problem, tau=tau)
+            except (InstabilityError, np.linalg.LinAlgError):
+                continue
+            scored.append((rep.rnmse_true, p, q, rep))
+    scored = [t for t in scored if np.isfinite(t[0])]
     if not scored:
         raise InstabilityError(f"every order candidate failed for budget {budget}")
-    scored.sort(key=lambda t: t[:3])
-    return scored[0][3]
+    best = min(scored, key=lambda t: t[:3])[3]
+    return _iterative_report(best) if method == ITERATIVE else best

@@ -270,7 +270,9 @@ def symmetrize_max(graph: Graph) -> Graph:
     i, j = np.divmod(pairs, n)
     src = np.stack([i, j], axis=1).ravel()
     dst = np.stack([j, i], axis=1).ravel()
-    return Graph(n, src, dst, np.repeat(np.maximum(best, 0.0), 2), directed=False)
+    w = np.repeat(np.maximum(best, 0.0), 2)
+    once = np.stack([np.ones(len(i), dtype=bool), i != j], axis=1).ravel()  # a loop's one arc
+    return Graph(n, src[once], dst[once], w[once], directed=False)
 
 
 def _row_sums(n: int, rows, values) -> np.ndarray:

@@ -409,6 +409,21 @@ class TestConfigFile:
                     "--seed", "8", "-o", str(override)]) == 0
         assert override.read_bytes() != explicit.read_bytes()
 
+    def test_config_supplies_a_required_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"output": str(out), "p": 0.3}))
+        assert run(["gen-graph", "--config", str(cfg), "--er", "--n", "10"]) == 0
+        assert json.loads(out.read_text())["n"] == 10
+
+    def test_required_flag_missing_from_both_still_exits(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p": 0.3}')
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-graph", "--config", str(cfg), "--er", "--n", "10"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "-o/--output" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"nonsense": 1}')

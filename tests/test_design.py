@@ -5,6 +5,7 @@ from graphfilt import (
     ArmaFilter,
     ConjugateSymmetryError,
     DesignProblem,
+    InstabilityError,
     ParameterError,
     best_order_search,
     build_er_graph,
@@ -196,7 +197,18 @@ class TestIterativeReference:
     @pytest.mark.parametrize("b0_zero", [False, True])
     def test_complex_grid_reports_identical(self, weighted, b0_zero):
         grid = complex_disc_grid(100)
-        h = ideal_lowpass(grid, 1.0)
+        self.assert_matches_reference(grid, ideal_lowpass(grid, 1.0), weighted, b0_zero)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_complex_target_reports_identical(self, weighted):
+        # a real low-pass target is scored on magnitudes; a complex one on
+        # the complex error, whose norm sums two dot products
+        grid = complex_disc_grid(100)
+        h = random_pair_symmetric(grid, np.random.default_rng(8))
+        self.assert_matches_reference(grid, h, weighted, False)
+
+    @staticmethod
+    def assert_matches_reference(grid, h, weighted, b0_zero):
         weights = np.linspace(0.5, 2.0, grid.n) if weighted else None
         for p, q in [(1, 2), (3, 5), (6, 7), (9, 10)]:
             problem = DesignProblem(
@@ -216,18 +228,21 @@ class TestIterativeReference:
             assert new.imag_residue == ref.imag_residue
             assert new.imag_residue > 0.0  # the solve ran in complex arithmetic
 
-    def test_real_grid_order_search_matches(self, monkeypatch):
+    def test_real_grid_order_search_matches(self):
         # real arithmetic rounds differently, so the errors agree to a
         # tolerance and the chosen orders exactly
         grid = uniform_real_grid(100)
         h = ideal_lowpass(grid, 1.0)
-        new = [best_order_search(grid, h, k, "iterative") for k in range(5, 14)]
-        monkeypatch.setattr(
-            design, "iterative_design",
-            lambda problem, tau: reference_iterative_design(problem, tau),
-        )
-        for k, rep in zip(range(5, 14), new):
-            ref = best_order_search(grid, h, k, "iterative")
+        for k in range(5, 14):
+            rep = best_order_search(grid, h, k, "iterative")
+            refs = []
+            for p, q in order_candidates(k, le_budget=False):
+                problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
+                try:
+                    refs.append(reference_iterative_design(problem))
+                except InstabilityError:
+                    continue
+            ref = min(refs, key=ranking)
             assert (rep.filter.ar_order, rep.filter.ma_order) == (
                 ref.filter.ar_order, ref.filter.ma_order
             )
@@ -373,19 +388,119 @@ class TestOrderSearch:
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     @pytest.mark.parametrize("le_budget, budget", [(False, 9), (True, 10)])
-    def test_one_method_run_per_feasible_candidate(self, monkeypatch, le_budget, budget):
+    def test_every_feasible_split_designed_once_in_order(
+        self, monkeypatch, le_budget, budget
+    ):
         grid = uniform_real_grid(10)
         h = ideal_lowpass(grid, 1.0)
-        calls = []
+        designed = []
+        iterate = design._iterate
 
-        def counting(method, problem, **kwargs):
-            calls.append((problem.ar_order, problem.ma_order))
-            return run_method(method, problem, **kwargs)
+        def recording(runs, tau):
+            designed.extend((r.problem.ar_order, r.problem.ma_order) for r in runs)
+            return iterate(runs, tau)
 
-        monkeypatch.setattr(design, "run_method", counting)
+        monkeypatch.setattr(design, "_iterate", recording)
         best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
         feasible = [
             (p, q) for p, q in order_candidates(budget, le_budget) if p + q + 1 <= grid.n
         ]
-        assert calls == feasible
+        assert designed == feasible
 
+
+def ranking(report):
+    return report.rnmse_true, report.filter.ar_order, report.filter.ma_order
+
+
+def assert_same_report(got, want):
+    """Every field of two design reports, bit for bit."""
+    for x, y in [(got.filter, want.filter), *zip(got.iterate_filters, want.iterate_filters)]:
+        assert np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+    assert len(got.iterate_filters) == len(want.iterate_filters)
+    assert got.error_history == want.error_history
+    for field in ("rnmse_true", "rnmse_modified", "iterations", "converged", "stability",
+                  "method", "imag_residue", "warnings"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def solo_reports(grid, h, cands):
+    """iterative_design of each split on its own; failing splits left out."""
+    reports = {}
+    for p, q in cands:
+        problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
+        try:
+            reports[p, q] = iterative_design(problem)
+        except InstabilityError:
+            continue
+    return reports
+
+
+class TestLockstepSearch:
+    """The order search runs the passes of every split with the same P + Q
+    together; each split must get the bits it gets from iterative_design alone."""
+
+    @pytest.mark.parametrize("le_budget", [False, True])
+    @pytest.mark.parametrize("budget", [5, 9])
+    @pytest.mark.parametrize("make_grid", [uniform_real_grid, complex_disc_grid])
+    def test_search_returns_best_solo_report(self, make_grid, budget, le_budget):
+        grid = make_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        solo = solo_reports(grid, h, order_candidates(budget, le_budget))
+        got = best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
+        assert_same_report(got, min(solo.values(), key=ranking))
+
+    def test_failing_candidate_leaves_the_others_unchanged(self, monkeypatch):
+        grid = complex_disc_grid(60)
+        h = ideal_lowpass(grid, 1.0)
+        cands = order_candidates(5, le_budget=False)
+        solo = solo_reports(grid, h, cands)
+        solve = design._solve_a0
+        passes = []
+
+        def failing(lhs, rhs, problem):
+            if problem.ar_order == 2:
+                passes.append(1)
+                if len(passes) == 3:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(lhs, rhs, problem)
+
+        monkeypatch.setattr(design, "_solve_a0", failing)
+        runs = [
+            design._Run.start(
+                DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q), None
+            )
+            for p, q in cands
+        ]
+        design._iterate(runs, 50)
+        for (p, q), run in zip(cands, runs):
+            if p == 2:
+                assert isinstance(run.error, np.linalg.LinAlgError)
+                assert len(run.history) == 3
+            else:
+                assert run.error is None
+                assert_same_report(design._iterative_report(run), solo[p, q])
+
+        passes.clear()
+        others = [rep for (p, _), rep in solo.items() if p != 2]
+        got = best_order_search(grid, h, 5, "iterative")
+        assert_same_report(got, min(others, key=ranking))
+        passes.clear()
+        with pytest.raises(np.linalg.LinAlgError):
+            iterative_design(DesignProblem(grid=grid, h_hat=h, ar_order=2, ma_order=3))
+
+    def test_failing_initialization_skips_only_that_split(self, monkeypatch):
+        grid = uniform_real_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        solo = solo_reports(grid, h, order_candidates(9, le_budget=False))
+        best = min(solo.values(), key=ranking)
+        fit = design._projection_fit
+
+        def failing(problem, basis):
+            if problem.ar_order == best.filter.ar_order:
+                raise InstabilityError("denominator vanishes")
+            return fit(problem, basis)
+
+        monkeypatch.setattr(design, "_projection_fit", failing)
+        others = [rep for (p, _), rep in solo.items() if p != best.filter.ar_order]
+        got = best_order_search(grid, h, 9, "iterative")
+        assert_same_report(got, min(others, key=ranking))

@@ -145,6 +145,11 @@ class TestKnn:
         a = dense_adjacency(g)
         assert np.array_equal(a, a.T)
 
+    def test_symmetrize_keeps_one_arc_per_self_loop(self):
+        g = symmetrize_max(Graph(3, [0, 0, 2], [0, 1, 1], [1.5, 2.0, 0.5], directed=True))
+        assert arc_rows(g) == ((0, 0, 1.5), (0, 1, 2.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 0.5))
+        assert dense_adjacency(g)[0, 0] == 1.5
+
 
 class TestNormalize:
     def test_two_path_laplacian_hand_values(self):
