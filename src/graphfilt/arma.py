@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import filter_payload, poly_apply, vandermonde
+from .fir import _poly_sum, _shift_powers, filter_payload, poly_apply, vandermonde
 from .graphs import ShiftOperator
 from .spectral import FrequencyGrid
 
@@ -100,16 +101,38 @@ def arma_apply_direct(filt: ArmaFilter, op: ShiftOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
-    if op.n > _DIRECT_SOLVE_MAX_N:
-        raise ParameterError(
-            f"direct solve capped at n={_DIRECT_SOLVE_MAX_N}; use the CG path"
-        )
-    z = poly_apply(filt.b, op, x)
-    p_mat = poly_apply(filt.a, op, np.eye(op.n))
-    try:
-        return np.linalg.solve(p_mat, z)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("AR polynomial matrix is singular") from exc
+    solver = _DirectSolver(op)
+    return solver.solve(solver.ar_matrix(filt.a), filt.b, x)
+
+
+class _DirectSolver:
+    """Dense solves a(S) y = b(S) x on one operator, for many filters.
+
+    Every a(S) is summed from the powers S^k I, computed on first need and
+    kept, with the products and order of poly_apply on the identity.
+    """
+
+    def __init__(self, op: ShiftOperator):
+        if op.n > _DIRECT_SOLVE_MAX_N:
+            raise ParameterError(
+                f"direct solve capped at n={_DIRECT_SOLVE_MAX_N}; use the CG path"
+            )
+        self.op = op
+        self._powers = []
+        self._more = _shift_powers(op, np.eye(op.n))
+
+    def ar_matrix(self, a) -> np.ndarray:
+        """sum a_p S^p as a dense matrix."""
+        self._powers += islice(self._more, max(len(a) - len(self._powers), 0))
+        return _poly_sum(a, self._powers)
+
+    def solve(self, ar_matrix, b, x) -> np.ndarray:
+        """a(S)^{-1} b(S) x, for ar_matrix = a(S)."""
+        z = poly_apply(b, self.op, x)
+        try:
+            return np.linalg.solve(ar_matrix, z)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("AR polynomial matrix is singular") from exc
 
 
 def arma_to_json(filt: ArmaFilter) -> str:

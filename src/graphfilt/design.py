@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -163,6 +164,10 @@ class _Basis:
     weights: np.ndarray | None
     h_norm: float
     abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
+    # numerator-complement projectors by column count of psi_b, shared by the
+    # bases of problems with the same grid, weights and b0 pin; only the
+    # counts present as keys are kept
+    projectors: dict
 
     def scores(self, alpha, beta):
         """True RNMSEs of the responses beta/alpha, and their weighted error vectors.
@@ -192,6 +197,20 @@ class _Basis:
         """True RNMSE of the filter with coefficients a and b."""
         return float(self.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
 
+    def projector(self, w) -> np.ndarray:
+        """I - W Psi_b pinv(W Psi_b) for W = diag(w): the projector onto the
+        orthogonal complement of the weighted numerator range."""
+        cols = self.psi_b.shape[1]
+        found = self.projectors.get(cols)
+        if found is None:
+            weighted_b = w[:, None] * self.psi_b
+            found = np.eye(len(w)) - weighted_b @ np.linalg.pinv(
+                weighted_b, rcond=_LSTSQ_RCOND
+            )
+            if cols in self.projectors:
+                self.projectors[cols] = found
+        return found
+
 
 def _sq_norms(rows, selected) -> np.ndarray:
     """Squared l2 norm of each selected row, inf for the others.
@@ -200,19 +219,16 @@ def _sq_norms(rows, selected) -> np.ndarray:
     dot products, that np.linalg.norm takes of one vector, so a row gets
     the same bits in any stack.
     """
-    out = np.full(len(rows), np.inf)
-    picked = np.flatnonzero(selected).tolist()
     if np.iscomplexobj(rows):
         re, im = rows.real, rows.imag
-        for i in picked:
-            out[i] = re[i].dot(re[i]) + im[i].dot(im[i])
+        out = np.array([r.dot(r) + m.dot(m) for r, m in zip(re, im)])
     else:
-        for i in picked:
-            out[i] = rows[i].dot(rows[i])
+        out = np.array([r.dot(r) for r in rows])
+    out[~selected] = np.inf
     return out
 
 
-def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
+def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int, projectors=None) -> _Basis:
     lam, h = problem.grid.lambdas, problem.h_hat
     if problem.grid.all_real and not np.any(h.imag):
         lam, h = lam.real, h.real.copy()
@@ -226,6 +242,7 @@ def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int) -> _Basis:
         weights=w,
         h_norm=float(np.linalg.norm(h if w is None else w * h)),
         abs_h=np.abs(h) if problem.use_amplitude_error else None,
+        projectors={} if projectors is None else projectors,
     )
 
 
@@ -249,7 +266,7 @@ class _A0Systems:
 
     The unknowns are theta = [a_1..a_P; b], with a0 = 1 moved to the right
     side. Systems are stored transposed, so that every elementwise pass runs
-    along the grid: template[c] holds [Psi_P[:, 1:] | Psi_b].T of problem c
+    along the grid: template[c] holds [Psi_P[:, 1:] | -Psi_b].T of problem c
     and a_rows[c] marks its Psi_P rows. The problems share the target and
     the weights, so one basis scores them all.
     """
@@ -257,6 +274,7 @@ class _A0Systems:
     template: np.ndarray
     a_rows: np.ndarray
     basis: _Basis
+    neg_h: np.ndarray
 
     @classmethod
     def build(cls, bases):
@@ -266,22 +284,21 @@ class _A0Systems:
                             dtype=lead.h.dtype)
         for t, p, bs in zip(template, ar, bases):
             t[:p] = bs.psi_p[:, 1:].T
-            t[p:] = bs.psi_b.T
+            np.negative(bs.psi_b.T, out=t[p:])
         a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
-        return cls(template, a_rows[:, :, None], lead)
+        a_rows = np.repeat(a_rows[:, :, None], template.shape[2], axis=2)
+        return cls(template, a_rows, lead, -lead.h)
 
     def fill(self, lhs, rhs, gamma) -> None:
         """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b].T into lhs[c] and -G h into rhs[c].
 
-        G = diag(gamma[c]). Each entry is (gamma * psi) * h or -(gamma * psi),
-        the same operations in the same order for every problem of the stack.
+        G = diag(gamma[c]). Each entry is (gamma * psi) * h or gamma * (-psi),
+        which is -(gamma * psi) exactly, the same operations in the same order
+        for every problem of the stack.
         """
-        h = self.basis.h
         np.multiply(gamma[:, None, :], self.template, out=lhs)
-        np.multiply(lhs, h, out=lhs, where=self.a_rows)
-        np.negative(lhs, out=lhs, where=~self.a_rows)
-        np.multiply(gamma, h, out=rhs)
-        np.negative(rhs, out=rhs)
+        np.multiply(lhs, self.basis.h, out=lhs, where=self.a_rows)
+        np.multiply(gamma, self.neg_h, out=rhs)
 
     def weigh(self, lhs, rhs) -> None:
         """Scale the filled systems by the weights (None for all ones)."""
@@ -290,8 +307,18 @@ class _A0Systems:
             lhs *= w
             rhs *= w
 
+    def finite(self, lhs, rhs) -> list:
+        """Whether each filled system is finite."""
+        lhs, rhs = lhs.view(np.float64), rhs.view(np.float64)
+        if np.isfinite(lhs).all() and np.isfinite(rhs).all():
+            return [True] * len(lhs)
+        return (np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist()
+
     def keep(self, rows):
-        return _A0Systems(self.template[rows], self.a_rows[rows], self.basis)
+        return _A0Systems(self.template[rows], self.a_rows[rows], self.basis, self.neg_h)
+
+
+_ONE, _ZERO = np.ones(1), np.zeros(1)
 
 
 def _solve_a0(lhs, rhs, problem: DesignProblem):
@@ -300,16 +327,15 @@ def _solve_a0(lhs, rhs, problem: DesignProblem):
     Returns (a, b, imag residue before truncation, rank_deficient).
     """
     theta, residue, rank = _solve_real_lstsq(lhs, rhs)
-    a = np.concatenate([[1.0], theta[:problem.ar_order]])
-    b_tail = theta[problem.ar_order:]
-    b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
+    p = problem.ar_order
+    a = np.concatenate((_ONE, theta[:p]))
+    b = np.concatenate((_ZERO, theta[p:])) if problem.constrain_b0_zero else theta[p:]
     return a, b, residue, rank < lhs.shape[1]
 
 
-def _make_report(a, b, problem, basis, method, residue, warnings,
+def _make_report(filt, problem, basis, method, residue, warnings,
                  iterations=0, history=None, converged=True, iterates=()):
-    filt = ArmaFilter(a=a, b=b)
-    err_true = basis.score(a, b)
+    err_true = basis.score(filt.a, filt.b)
     return DesignReport(
         filter=filt,
         rnmse_true=err_true,
@@ -327,15 +353,7 @@ def _make_report(a, b, problem, basis, method, residue, warnings,
 
 def prony_ls(problem: DesignProblem) -> DesignReport:
     """Minimize the modified error ||h * a(lambda) - b(lambda)|| with a0 = 1."""
-    basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    systems = _A0Systems.build([basis])
-    lhs = np.empty_like(systems.template)
-    rhs = np.empty((1, problem.grid.n), dtype=basis.h.dtype)
-    systems.fill(lhs, rhs, np.ones((1, problem.grid.n)))
-    systems.weigh(lhs, rhs)
-    a, b, residue, deficient = _solve_a0(lhs[0].T, rhs[0], problem)
-    warnings = ("rank-deficient",) if deficient else ()
-    return _make_report(a, b, problem, basis, PRONY_LS, residue, warnings)
+    return _fit_report(PRONY_LS, problem)
 
 
 def prony_projection(problem: DesignProblem) -> DesignReport:
@@ -345,9 +363,24 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     numerator Vandermonde range; step 2 solves the true-error least squares
     for b with the denominator frozen.
     """
+    return _fit_report(PRONY_PROJECTION, problem)
+
+
+def _fit_report(method: str, problem: DesignProblem) -> DesignReport:
     basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    a, b, residue, warnings = _projection_fit(problem, basis)
-    return _make_report(a, b, problem, basis, PRONY_PROJECTION, residue, warnings)
+    a, b, residue, warnings = _FITS[method](problem, basis)
+    return _make_report(ArmaFilter(a=a, b=b), problem, basis, method, residue, warnings)
+
+
+def _ls_fit(problem: DesignProblem, basis: _Basis):
+    """The coefficients of prony_ls: (a, b, imag residue, warnings)."""
+    systems = _A0Systems.build([basis])
+    lhs = np.empty_like(systems.template)
+    rhs = np.empty((1, problem.grid.n), dtype=basis.h.dtype)
+    systems.fill(lhs, rhs, np.ones((1, problem.grid.n)))
+    systems.weigh(lhs, rhs)
+    a, b, residue, deficient = _solve_a0(lhs[0].T, rhs[0], problem)
+    return a, b, residue, ["rank-deficient"] if deficient else []
 
 
 def _projection_fit(problem: DesignProblem, basis: _Basis):
@@ -355,11 +388,7 @@ def _projection_fit(problem: DesignProblem, basis: _Basis):
     w = problem.weight_vector
     psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.h
 
-    weighted_b = w[:, None] * psi_b
-    projector = np.eye(problem.grid.n) - weighted_b @ np.linalg.pinv(
-        weighted_b, rcond=_LSTSQ_RCOND
-    )
-    block_a = projector @ (w[:, None] * (psi_p * h[:, None]))
+    block_a = basis.projector(w) @ (w[:, None] * (psi_p * h[:, None]))
     theta, residue_a, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
     a = np.concatenate([[1.0], theta])
     warnings = ["rank-deficient"] if rank < block_a.shape[1] - 1 else []
@@ -375,6 +404,10 @@ def _projection_fit(problem: DesignProblem, basis: _Basis):
     return a, b, max(residue_a, residue_b), warnings
 
 
+# The one-shot least-squares designs, by method.
+_FITS = {PRONY_LS: _ls_fit, PRONY_PROJECTION: _projection_fit}
+
+
 @dataclass
 class _Run:
     """One problem's passes: its iterates, the initialization first, and
@@ -388,14 +421,18 @@ class _Run:
     converged: bool
     warnings: set
     error: np.linalg.LinAlgError | None  # raised by a solve; ends the run
+    projection: tuple | None  # (imag residue, warnings) of a prony_projection init
 
     @classmethod
-    def start(cls, problem: DesignProblem, init: ArmaFilter | None):
+    def start(cls, problem: DesignProblem, init: ArmaFilter | None, projectors=None):
         """A run from init, or from the prony_projection design."""
-        basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
+        basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1, projectors)
+        projection = None
         if init is None:
-            init = ArmaFilter(*_projection_fit(problem, basis)[:2])
-        return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None)
+            a, b, residue, warnings = _projection_fit(problem, basis)
+            init, projection = ArmaFilter(a=a, b=b), (residue, warnings)
+        return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None,
+                   projection)
 
 
 def _iterate(runs, tau: int) -> None:
@@ -414,61 +451,61 @@ def _iterate(runs, tau: int) -> None:
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
     systems = _A0Systems.build([run.basis for run in runs])
+    score = systems.basis.scores
     alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
     beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
-    err_true, err_prev = systems.basis.scores(alpha, beta)
-    for run, e in zip(runs, err_true.tolist()):
-        run.history.append(e)
     lhs, rhs = np.empty_like(systems.template), np.empty_like(alpha)
+    lhs_t = lhs.transpose(0, 2, 1)  # lhs_t[i] is the system matrix of row i
     live = runs  # the runs still iterating, one per row of the stacks
-
-    for _ in range(tau):
-        n = len(live)
-        rho = _RHO * np.abs(alpha).max(axis=1)
-        denom = alpha + rho[:, None]
-        zero = denom == 0.0
-        if zero.any():
-            for i in zero.any(axis=1).nonzero()[0]:
-                denom[i] = np.where(zero[i], max(rho[i], 1e-30), denom[i])
-                live[i].warnings.add("denominator-regularized")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err_true, err_prev = score(alpha, beta)
+        for run, e in zip(runs, err_true.tolist()):
+            run.history.append(e)
+        for _ in range(tau):
+            n = len(live)
+            rho = _RHO * np.abs(alpha).max(axis=1)
+            denom = alpha + rho[:, None]
+            if not denom.all():  # a denominator value is exactly zero
+                zero = denom == 0.0
+                for i in zero.any(axis=1).nonzero()[0]:
+                    denom[i] = np.where(zero[i], max(rho[i], 1e-30), denom[i])
+                    live[i].warnings.add("denominator-regularized")
             systems.fill(lhs[:n], rhs[:n], np.divide(1.0, denom, out=denom))
-        going = (np.isfinite(lhs[:n].view(np.float64)).all(axis=(1, 2))
-                 & np.isfinite(rhs[:n].view(np.float64)).all(axis=1)).tolist()
-        systems.weigh(lhs[:n], rhs[:n])
-        for i, run in enumerate(live):
-            if not going[i]:
-                run.warnings.add("non-finite-iterate")
-                continue
-            try:
-                a, b, residue, deficient = _solve_a0(lhs[i].T, rhs[i], run.problem)
-            except np.linalg.LinAlgError as exc:
-                run.error = exc
-                going[i] = False
-                continue
-            if deficient:
-                run.warnings.add("rank-deficient")
-            run.max_residue = max(run.max_residue, residue)
-            run.iterates.append((a, b))
-            np.matmul(run.basis.psi_p, a, out=alpha[i])
-            np.matmul(run.basis.psi_q, b, out=beta[i])
-        err_true, err_new = systems.basis.scores(alpha, beta)
-        finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
-        with np.errstate(invalid="ignore"):
-            delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
-        for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
-            if going[i]:
-                live[i].history.append(e)
-                if d < _DELTA_C:
-                    live[i].converged = True
+            going = systems.finite(lhs[:n], rhs[:n])
+            systems.weigh(lhs[:n], rhs[:n])
+            for i, run in enumerate(live):
+                if not going[i]:
+                    run.warnings.add("non-finite-iterate")
+                    continue
+                try:
+                    a, b, residue, deficient = _solve_a0(lhs_t[i], rhs[i], run.problem)
+                except np.linalg.LinAlgError as exc:
+                    run.error = exc
                     going[i] = False
-        if not all(going):
-            live = [run for run, g in zip(live, going) if g]
-            if not live:
-                break
-            systems = systems.keep(going)
-            alpha, beta, err_new = alpha[going], beta[going], err_new[going]
-        err_prev = err_new
+                    continue
+                if deficient:
+                    run.warnings.add("rank-deficient")
+                if residue > run.max_residue:
+                    run.max_residue = residue
+                run.iterates.append((a, b))
+                np.matmul(run.basis.psi_p, a, out=alpha[i])
+                np.matmul(run.basis.psi_q, b, out=beta[i])
+            err_true, err_new = score(alpha, beta)
+            finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
+            delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
+            for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
+                if going[i]:
+                    live[i].history.append(e)
+                    if d < _DELTA_C:
+                        live[i].converged = True
+                        going[i] = False
+            if not all(going):
+                live = [run for run, g in zip(live, going) if g]
+                if not live:
+                    break
+                systems = systems.keep(going)
+                alpha, beta, err_new = alpha[going], beta[going], err_new[going]
+            err_prev = err_new
 
 
 def _iterative_report(run: _Run) -> DesignReport:
@@ -477,14 +514,14 @@ def _iterative_report(run: _Run) -> DesignReport:
         raise InstabilityError(
             "every iterate produced an unstable filter", history=tuple(run.history)
         )
-    a, b = run.iterates[int(np.argmin(run.history))]
+    iterates = [ArmaFilter(a=a, b=b) for a, b in run.iterates]
     return _make_report(
-        a, b, run.problem, run.basis, ITERATIVE, run.max_residue,
-        sorted(run.warnings),
+        iterates[int(np.argmin(run.history))], run.problem, run.basis, ITERATIVE,
+        run.max_residue, sorted(run.warnings),
         iterations=len(run.history) - 1,
         history=run.history,
         converged=run.converged,
-        iterates=[ArmaFilter(a=ai, b=bi) for ai, bi in run.iterates],
+        iterates=iterates,
     )
 
 
@@ -554,6 +591,60 @@ def best_order_search(
     whose design fails are skipped. The iterative method runs the passes of
     all splits with the same ar + ma in lockstep, and reports only the winner.
     """
+    return order_search_table(grid, h_hat, [budget], [method], le_budget, tau)[method, budget]
+
+
+def order_search_table(
+    grid: FrequencyGrid,
+    h_hat,
+    budgets,
+    methods,
+    le_budget: bool = False,
+    tau: int = 50,
+) -> dict:
+    """best_order_search at every budget and method, keyed (method, budget).
+
+    Each split of the budgets is designed once per method, whatever number
+    of budgets it serves: one le_budget search at the largest budget answers
+    every smaller one. With both prony-projection and iterative asked, the
+    prony-projection designs are the iterative runs' initializations. Each
+    entry is the (error, ar, ma) minimum over its own budget's splits, so it
+    equals best_order_search's report.
+    """
+    budgets = list(dict.fromkeys(budgets))
+    sums = {k: {p + q for p, q in _feasible(grid, k, le_budget)} for k in budgets}
+    for method in methods:
+        if method not in METHODS:
+            raise ParameterError(f"unknown design method {method!r}")
+    totals = sorted(set().union(*sums.values()))
+    # the projector of an MA order that several splits share is built once
+    ma_orders = Counter(q for total in totals for q in range(total + 1))
+    projectors = dict.fromkeys(q + 1 for q, count in ma_orders.items() if count > 1)
+    bests = {}  # (method, ar + ma): the best finite design of that group
+    for total in totals:
+        problems = [
+            DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=total - p)
+            for p in range(total + 1)
+        ]
+        for method, scored in _group_designs(problems, methods, tau, projectors).items():
+            scored = [t for t in scored if np.isfinite(t[0])]
+            if scored:
+                bests[method, total] = min(scored, key=_rank)
+    table = {}
+    for k in budgets:
+        for method in methods:
+            found = [bests[method, s] for s in sums[k] if (method, s) in bests]
+            if not found:
+                raise InstabilityError(f"every order candidate failed for budget {k}")
+            table[method, k] = min(found, key=_rank)[3]()
+    return table
+
+
+def _rank(scored):
+    return scored[:3]
+
+
+def _feasible(grid: FrequencyGrid, budget: int, le_budget: bool) -> list:
     cands = [
         (p, q)
         for p, q in order_candidates(budget, le_budget)
@@ -561,34 +652,51 @@ def best_order_search(
     ]
     if not cands:
         raise ParameterError(f"no feasible orders for budget {budget} on {grid.n} points")
+    return cands
 
-    scored = []
-    if method == ITERATIVE:
-        for _, group in groupby(cands, key=sum):
-            runs = []
-            for p, q in group:
-                problem = DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=q)
-                try:
-                    runs.append(_Run.start(problem, None))
-                except (InstabilityError, np.linalg.LinAlgError):
-                    continue
-            if runs:
-                _iterate(runs, tau)
-            scored += [
-                (min(run.history), run.problem.ar_order, run.problem.ma_order, run)
-                for run in runs
-                if run.error is None
-            ]
-    else:
-        for p, q in cands:
-            problem = DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=q)
+
+def _group_designs(problems, methods, tau: int, projectors: dict) -> dict:
+    """{method: [(true RNMSE, ar, ma, report maker)]} over problems that share
+    ar + ma; a split whose design fails is left out. projectors is shared by
+    every problem of the search."""
+    out = {}
+    if ITERATIVE in methods:
+        runs = []
+        for problem in problems:
             try:
-                rep = run_method(method, problem, tau=tau)
+                runs.append(_Run.start(problem, None, projectors))
             except (InstabilityError, np.linalg.LinAlgError):
                 continue
-            scored.append((rep.rnmse_true, p, q, rep))
-    scored = [t for t in scored if np.isfinite(t[0])]
-    if not scored:
-        raise InstabilityError(f"every order candidate failed for budget {budget}")
-    best = min(scored, key=lambda t: t[:3])[3]
-    return _iterative_report(best) if method == ITERATIVE else best
+        if runs:
+            _iterate(runs, tau)
+        out[ITERATIVE] = [
+            (min(run.history), *_orders(run.problem), partial(_iterative_report, run))
+            for run in runs
+            if run.error is None
+        ]
+        if PRONY_PROJECTION in methods:
+            out[PRONY_PROJECTION] = [
+                (run.history[0], *_orders(run.problem),
+                 partial(_make_report, ArmaFilter(*run.iterates[0]), run.problem,
+                         run.basis, PRONY_PROJECTION, *run.projection))
+                for run in runs
+            ]
+    for method in methods:
+        if method in out:
+            continue
+        scored = out[method] = []
+        for problem in problems:
+            basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1, projectors)
+            try:
+                a, b, residue, warnings = _FITS[method](problem, basis)
+            except (InstabilityError, np.linalg.LinAlgError):
+                continue
+            filt = ArmaFilter(a=a, b=b)
+            scored.append((basis.score(a, b), *_orders(problem),
+                           partial(_make_report, filt, problem, basis, method,
+                                   residue, warnings)))
+    return out
+
+
+def _orders(problem: DesignProblem):
+    return problem.ar_order, problem.ma_order

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .arma import ArmaFilter, arma_apply_direct, arma_response
+from .arma import ArmaFilter, _DirectSolver, arma_response
 from .cg import CgConfig, cg_solve
 from .design import (
     ITERATIVE,
@@ -24,6 +24,7 @@ from .design import (
     best_order_search,
     ideal_lowpass,
     iterative_design,
+    order_search_table,
     prony_ls,
     rnmse,
 )
@@ -200,7 +201,11 @@ def interpolate(
     for comp in range(n_comp):
         if not np.any(task.mask[labels == comp]):
             raise SingularSystemError(f"component {comp} has no observed node")
+    return _interpolation_solve(op, x_observed, task, cg)
 
+
+def _interpolation_solve(op: ShiftOperator, x_observed, task: InterpolationTask, cg):
+    """The CG solve of interpolate, for a task that observes every component."""
     mask = task.mask.astype(float)
     rhs = mask * x_observed
 
@@ -263,15 +268,6 @@ def _backward_filter(filt: ArmaFilter) -> ArmaFilter:
     return ArmaFilter(a=c, b=filt.a.copy())
 
 
-def _reconstruct_from_filter(filt: ArmaFilter, op: ShiftOperator, x, bits: int):
-    forward = arma_apply_direct(filt, op, x)
-    residual = x - forward
-    quantized = quantize_residual(residual, bits)
-    back = _backward_filter(filt)
-    x_tilde = arma_apply_direct(back, op, quantized.values)
-    return x_tilde, residual, quantized
-
-
 def predict(
     op: ShiftOperator,
     x,
@@ -290,40 +286,68 @@ def predict(
     zero while the backward filter blows up.
     """
     x = np.asarray(x, dtype=float)
-    dec = eigendecompose(op)
-    grid = spectrum_grid(dec)
-    x_hat = gft(dec, x)
-    problem = DesignProblem(
-        grid=grid,
-        h_hat=np.ones(grid.n, dtype=complex),
-        ar_order=ar_order,
-        ma_order=ma_order,
-        weights=np.abs(x_hat),
-        constrain_b0_zero=True,
-    )
-    report = iterative_design(problem, tau=_PREDICT_TAU)
-    best = None
-    for idx, cand in enumerate(report.iterate_filters):
-        try:
-            x_tilde, residual, quantized = _reconstruct_from_filter(cand, op, x, bits)
-        except (SingularSystemError, ParameterError):
-            continue
-        err = rnmse(x_tilde, x)
-        if not math.isfinite(err):
-            continue
-        if best is None or err < best[0]:
-            best = (err, idx, cand, x_tilde, residual, quantized)
-    if best is None:
-        raise SingularSystemError("no design iterate produced a solvable backward filter")
-    err, idx, cand, x_tilde, residual, quantized = best
-    return PredictionResult(
-        filter=cand,
-        reconstructed=x_tilde,
-        rnmse=err,
-        residual=residual,
-        quantized=quantized,
-        iterate_index=idx,
-    )
+    predictor = _Predictor(op)
+    return predictor.best(x, predictor.candidates(x, ar_order, ma_order), bits)
+
+
+class _Predictor:
+    """What the predictions on one operator share: its spectrum, and the
+    shift powers that every a(S) of the direct solves is summed from."""
+
+    def __init__(self, op: ShiftOperator):
+        self.dec = eigendecompose(op)
+        self.grid = spectrum_grid(self.dec)
+        self.solver = _DirectSolver(op)
+
+    def candidates(self, x, ar_order: int, ma_order: int) -> list:
+        """Every design iterate with what each bit budget needs of it:
+        (index, filter, residual, backward filter, backward a(S)).
+
+        An iterate whose forward system is singular is left out.
+        """
+        problem = DesignProblem(
+            grid=self.grid,
+            h_hat=np.ones(self.grid.n, dtype=complex),
+            ar_order=ar_order,
+            ma_order=ma_order,
+            weights=np.abs(gft(self.dec, x)),
+            constrain_b0_zero=True,
+        )
+        report = iterative_design(problem, tau=_PREDICT_TAU)
+        out = []
+        for idx, filt in enumerate(report.iterate_filters):
+            try:
+                forward = self.solver.solve(self.solver.ar_matrix(filt.a), filt.b, x)
+            except SingularSystemError:
+                continue
+            back = _backward_filter(filt)
+            out.append((idx, filt, x - forward, back, self.solver.ar_matrix(back.a)))
+        return out
+
+    def best(self, x, candidates, bits: int) -> PredictionResult:
+        """The candidate whose quantized reconstruction at bits is best."""
+        best = None
+        for idx, filt, residual, back, back_matrix in candidates:
+            try:
+                quantized = quantize_residual(residual, bits)
+                x_tilde = self.solver.solve(back_matrix, back.b, quantized.values)
+            except (SingularSystemError, ParameterError):
+                continue
+            err = rnmse(x_tilde, x)
+            if not math.isfinite(err):
+                continue
+            if best is None or err < best.rnmse:
+                best = PredictionResult(
+                    filter=filt,
+                    reconstructed=x_tilde,
+                    rnmse=err,
+                    residual=residual,
+                    quantized=quantized,
+                    iterate_index=idx,
+                )
+        if best is None:
+            raise SingularSystemError("no design iterate produced a solvable backward filter")
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +378,15 @@ def compress(
     x = np.asarray(x, dtype=float)
     dec = eigendecompose(op)
     grid = spectrum_grid(dec)
-    x_hat = gft(dec, x)
     report = best_order_search(
-        grid, x_hat, budget, ITERATIVE, le_budget=le_budget, tau=_COMPRESS_TAU
+        grid, gft(dec, x), budget, ITERATIVE, le_budget=le_budget, tau=_COMPRESS_TAU
     )
-    response = arma_response(report.filter, grid)
-    x_tilde = igft(dec, response).real
+    return _compression(dec, grid, x, report)
+
+
+def _compression(dec, grid, x, report: DesignReport) -> CompressionResult:
+    """Reconstruct x from the design that fits its spectrum."""
+    x_tilde = igft(dec, arma_response(report.filter, grid)).real
     return CompressionResult(
         filter=report.filter,
         reconstructed=x_tilde,
@@ -378,7 +405,10 @@ def compress_fir(op: ShiftOperator, x, order: int):
     """
     x = np.asarray(x, dtype=float)
     dec = eigendecompose(op)
-    grid = spectrum_grid(dec)
+    return _fir_compression(dec, spectrum_grid(dec), x, order)
+
+
+def _fir_compression(dec, grid, x, order: int):
     x_hat = gft(dec, x)
     psi = vandermonde(grid.lambdas, order + 1)
     stacked = np.vstack([psi.real, psi.imag])
@@ -450,13 +480,6 @@ class ExperimentReport:
 _STUDY_METHODS = ("fir", "prony-ls", "prony-projection", "iterative")
 
 
-def _design_rnmse_on_grid(grid, h_hat, budget, method):
-    if method == "fir":
-        return fir_design(grid, h_hat, budget).rnmse, budget, 0
-    report = best_order_search(grid, h_hat, budget, method)
-    return report.rnmse_true, report.filter.ar_order, report.filter.ma_order
-
-
 def universal_study(
     grid_kind: str,
     n_points: int,
@@ -487,16 +510,25 @@ def universal_study(
         raise ParameterError(f"unknown study grid kind {grid_kind!r}")
     averaged = grid_kind == "er-spectrum"
     experiment = grid_kind if averaged else f"universal-{grid_kind}"
-    targets = [(grid, ideal_lowpass(grid, _CUTOFF)) for grid in grids]
+    arma_methods = [method for method in methods if method != "fir"]
+    fits = []  # per grid: {(method, k): (rnmse, ar, ma)}
+    for grid in grids:
+        h = ideal_lowpass(grid, _CUTOFF)
+        table = order_search_table(grid, h, k_values, arma_methods)
+        fit = {key: (rep.rnmse_true, rep.filter.ar_order, rep.filter.ma_order)
+               for key, rep in table.items()}
+        if "fir" in methods:
+            fit.update({("fir", k): (fir_design(grid, h, k).rnmse, k, 0) for k in k_values})
+        fits.append(fit)
     rows = []
     for k in k_values:
         for method in methods:
-            fits = [_design_rnmse_on_grid(grid, h, k, method) for grid, h in targets]
-            p, q = (-1, -1) if averaged else fits[0][1:]
+            fits_k = [fit[method, k] for fit in fits]
+            p, q = (-1, -1) if averaged else fits_k[0][1:]
             rows.append(
                 ReportRow(
                     experiment=experiment, k=k, ar_order=p, ma_order=q, method=method,
-                    values=tuple(err for err, _, _ in fits), seed=seed,
+                    values=tuple(err for err, _, _ in fits_k), seed=seed,
                 )
             )
     return ExperimentReport(rows=tuple(rows))
@@ -558,8 +590,9 @@ def budgeted_cg_study() -> BudgetedCgResult:
         return float(np.mean(vals))
 
     def denominator_positive(filt: ArmaFilter) -> bool:
-        # plain CG needs a positive-definite system: the denominator
-        # polynomial must stay positive over the operator's spectral range
+        # plain CG needs a positive-definite system, so the denominator must
+        # be positive on the operator's spectrum; this checks it only at the
+        # _GRID_POINTS design-grid points, not between them
         alpha = vandermonde(grid.lambdas, len(filt.a)) @ filt.a
         return bool(np.all(alpha.real > 0.0))
 
@@ -655,7 +688,7 @@ def interpolation_study(
                 mask[known] = True
                 task = InterpolationTask(mask=mask, omega=omega)
                 observed = np.where(mask, noisy, 0.0)
-                x_tilde, _ = interpolate(op, observed, task, _INTERPOLATION_CG)
+                x_tilde, _ = _interpolation_solve(op, observed, task, _INTERPOLATION_CG)
                 per_frac[frac].append(rnmse(x_tilde, x))
         for frac in known_fracs:
             rows.append(
@@ -674,20 +707,30 @@ def compression_study(
     trials: int = 10,
     seed: int = 3,
 ) -> ExperimentReport:
-    """ARMA-versus-FIR compression error on the directed geometric graph."""
+    """ARMA-versus-FIR compression error on the directed geometric graph.
+
+    One le_budget search at the largest K per trial answers every K.
+    """
     directed, _ = experiment_graphs()
     op = normalize(directed, NORMALIZED_ADJACENCY)
     dec = eigendecompose(op)
+    grid = spectrum_grid(dec)
     rng = np.random.default_rng(seed)
     signals = [smooth_signal(dec, op.kind, rng) for _ in range(trials)]
+    arma_errs = []  # per trial: {k: rnmse}
+    for x in signals:
+        table = order_search_table(
+            grid, gft(dec, x), k_values, [ITERATIVE], le_budget=True, tau=_COMPRESS_TAU
+        )
+        arma_errs.append({k: _compression(dec, grid, x, rep).rnmse
+                          for (_, k), rep in table.items()})
     rows = []
     for k in k_values:
-        arma_errs = [compress(op, x, k).rnmse for x in signals]
-        fir_errs = [compress_fir(op, x, k)[2] for x in signals]
+        fir_errs = [_fir_compression(dec, grid, x, k)[2] for x in signals]
         rows.append(
             ReportRow(
                 experiment="compression", k=k, ar_order=-1, ma_order=-1,
-                method="arma", values=tuple(arma_errs), seed=seed,
+                method="arma", values=tuple(errs[k] for errs in arma_errs), seed=seed,
             )
         )
         rows.append(
@@ -706,23 +749,32 @@ def prediction_study(
     seed: int = 5,
 ) -> ExperimentReport:
     """Prediction-plus-quantization error on the directed geometric graph,
-    over filter orders and bit budgets."""
+    over filter orders and bit budgets.
+
+    Each (K, trial) designs once for every bit budget.
+    """
     directed, _ = experiment_graphs()
     op = normalize(directed, NORMALIZED_ADJACENCY)
-    dec = eigendecompose(op)
+    predictor = _Predictor(op)
     rng = np.random.default_rng(seed)
-    signals = [smooth_signal(dec, op.kind, rng, profile="decay") for _ in range(trials)]
+    signals = [
+        smooth_signal(predictor.dec, op.kind, rng, profile="decay") for _ in range(trials)
+    ]
     rows = []
     for k in k_values:
         ar_order = k // 2
         ma_order = k - ar_order
-        for bits in bit_values:
-            errs = [predict(op, x, ar_order, ma_order, bits).rnmse for x in signals]
+        errs = [[] for _ in bit_values]
+        for x in signals:
+            candidates = predictor.candidates(x, ar_order, ma_order)
+            for bits, errs_bits in zip(bit_values, errs):
+                errs_bits.append(predictor.best(x, candidates, bits).rnmse)
+        for bits, errs_bits in zip(bit_values, errs):
             rows.append(
                 ReportRow(
                     experiment="prediction-directed", k=k,
                     ar_order=ar_order, ma_order=ma_order,
-                    method=f"arma-b{bits}", values=tuple(errs), seed=seed,
+                    method=f"arma-b{bits}", values=tuple(errs_bits), seed=seed,
                 )
             )
     return ExperimentReport(rows=tuple(rows))

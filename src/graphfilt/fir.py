@@ -67,11 +67,25 @@ def poly_apply(coeffs, op: ShiftOperator, x, transpose: bool = False) -> np.ndar
     Costs len(coeffs) - 1 shift applications; each column of a block gets
     exactly the values it would get on its own.
     """
+    return _poly_sum(coeffs, _shift_powers(op, x, transpose))
+
+
+def _shift_powers(op: ShiftOperator, x, transpose: bool = False):
+    """x, S x, S^2 x, ... (S^T with transpose), one shift application a step."""
     shift = shift_apply_transpose if transpose else shift_apply
-    out = coeffs[0] * x
-    for c in coeffs[1:]:
+    while True:
+        yield x
         x = shift(op, x)
-        out = out + c * x
+
+
+def _poly_sum(coeffs, powers) -> np.ndarray:
+    """sum c_k powers[k], term by term: the products and accumulation order of
+    poly_apply, so powers computed once give each polynomial poly_apply's bits."""
+    terms = zip(coeffs, powers)
+    c, p = next(terms)
+    out = c * p
+    for c, p in terms:
+        out = out + c * p
     return out
 
 
@@ -85,8 +99,9 @@ def _solve_real_lstsq(matrix, rhs):
     if matrix.shape[1] == 0:
         return np.zeros(0), 0.0, 0
     theta, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=_LSTSQ_RCOND)
-    residue = float(np.max(np.abs(theta.imag))) if np.iscomplexobj(theta) else 0.0
-    return theta.real, residue, int(rank)
+    if theta.dtype.kind == "c":
+        return theta.real, float(abs(theta.imag).max()), int(rank)
+    return theta, 0.0, int(rank)
 
 
 def fir_design(

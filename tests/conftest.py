@@ -5,11 +5,24 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
-from graphfilt import Graph, build_er_graph, design, eigendecompose, normalize
-from graphfilt.arma import ArmaFilter, check_stability
-from graphfilt.errors import InstabilityError
-from graphfilt.graphs import NORMALIZED_LAPLACIAN
+from graphfilt import (
+    Graph,
+    build_er_graph,
+    complex_disc_grid,
+    design,
+    eigendecompose,
+    experiments,
+    fir_design,
+    gft,
+    normalize,
+    spectrum_grid,
+    uniform_real_grid,
+)
+from graphfilt.arma import ArmaFilter, arma_apply_direct, check_stability
+from graphfilt.errors import InstabilityError, ParameterError, SingularSystemError
+from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 
 
 def power_iteration_radius(matrix, iterations=2000, seed=0):
@@ -231,3 +244,141 @@ def reference_iterative_design(problem, tau=50):
         warnings=tuple(sorted(warnings)),
         iterate_filters=tuple(ArmaFilter(a=ai, b=bi) for ai, bi in iterates),
     )
+
+
+# ---------------------------------------------------------------------------
+# Study loops that share no work: every row from the per-call public
+# functions, as the studies ran before they computed shared work once. A
+# study must write the same CSV text.
+# ---------------------------------------------------------------------------
+
+
+def reference_predict_rnmse(op, x, ar_order, ma_order, bits):
+    """predict(...).rnmse with a fresh eigendecomposition and design, and
+    arma_apply_direct for every forward and backward application."""
+    dec = eigendecompose(op)
+    grid = spectrum_grid(dec)
+    problem = design.DesignProblem(
+        grid=grid, h_hat=np.ones(grid.n, dtype=complex), ar_order=ar_order,
+        ma_order=ma_order, weights=np.abs(gft(dec, x)),
+        constrain_b0_zero=True,
+    )
+    best = None
+    report = design.iterative_design(problem, tau=experiments._PREDICT_TAU)
+    for filt in report.iterate_filters:
+        try:
+            residual = x - arma_apply_direct(filt, op, x)
+            quantized = experiments.quantize_residual(residual, bits)
+            back = experiments._backward_filter(filt)
+            x_tilde = arma_apply_direct(back, op, quantized.values)
+        except (SingularSystemError, ParameterError):
+            continue
+        err = design.rnmse(x_tilde, x)
+        if math.isfinite(err) and (best is None or err < best):
+            best = err
+    if best is None:
+        raise SingularSystemError("no design iterate produced a solvable backward filter")
+    return best
+
+
+def _row(experiment, k, p, q, method, values, seed):
+    return experiments.ReportRow(experiment=experiment, k=k, ar_order=p, ma_order=q,
+                                 method=method, values=tuple(values), seed=seed)
+
+
+def reference_prediction_study(k_values, bit_values, trials, seed):
+    """prediction_study with one predict per (K, bit budget, trial)."""
+    directed, _ = experiments.experiment_graphs()
+    op = normalize(directed, NORMALIZED_ADJACENCY)
+    dec = eigendecompose(op)
+    rng = np.random.default_rng(seed)
+    signals = [experiments.smooth_signal(dec, op.kind, rng, profile="decay")
+               for _ in range(trials)]
+    rows = []
+    for k in k_values:
+        p, q = k // 2, k - k // 2
+        for bits in bit_values:
+            errs = [reference_predict_rnmse(op, x, p, q, bits) for x in signals]
+            rows.append(_row("prediction-directed", k, p, q, f"arma-b{bits}", errs, seed))
+    return experiments.ExperimentReport(rows=tuple(rows))
+
+
+def reference_compression_study(k_values, trials, seed):
+    """compression_study with one compress and one compress_fir per (K, trial)."""
+    directed, _ = experiments.experiment_graphs()
+    op = normalize(directed, NORMALIZED_ADJACENCY)
+    dec = eigendecompose(op)
+    rng = np.random.default_rng(seed)
+    signals = [experiments.smooth_signal(dec, op.kind, rng) for _ in range(trials)]
+    rows = []
+    for k in k_values:
+        arma = [experiments.compress(op, x, k).rnmse for x in signals]
+        fir = [experiments.compress_fir(op, x, k)[2] for x in signals]
+        rows.append(_row("compression", k, -1, -1, "arma", arma, seed))
+        rows.append(_row("compression", k, 0, k, "fir", fir, seed))
+    return experiments.ExperimentReport(rows=tuple(rows))
+
+
+def reference_universal_study(grid_kind, n_points, k_values, methods, er_trials, seed):
+    """universal_study with one best_order_search per (K, method, grid)."""
+    if grid_kind == "er-spectrum":
+        grids = [
+            spectrum_grid(eigendecompose(normalize(
+                build_er_graph(experiments._ER_NODES, experiments._ER_P, seed + t),
+                NORMALIZED_LAPLACIAN,
+            )))
+            for t in range(er_trials)
+        ]
+        experiment = grid_kind
+    else:
+        make = {"uniform-real": uniform_real_grid, "complex-disc": complex_disc_grid}[grid_kind]
+        grids = [make(n_points)]
+        experiment = f"universal-{grid_kind}"
+    rows = []
+    for k in k_values:
+        for method in methods:
+            fits = []
+            for grid in grids:
+                h = design.ideal_lowpass(grid, experiments._CUTOFF)
+                if method == "fir":
+                    fits.append((fir_design(grid, h, k).rnmse, k, 0))
+                else:
+                    rep = design.best_order_search(grid, h, k, method)
+                    fits.append((rep.rnmse_true, rep.filter.ar_order, rep.filter.ma_order))
+            p, q = (-1, -1) if len(grids) > 1 else fits[0][1:]
+            rows.append(_row(experiment, k, p, q, method, [f[0] for f in fits], seed))
+    return experiments.ExperimentReport(rows=tuple(rows))
+
+
+def reference_interpolation_study(known_fracs, trials, seed):
+    """interpolation_study with the public interpolate, which checks the
+    connected components on every call."""
+    n = experiments._GRAPH_NODES
+    _, undirected = experiments.experiment_graphs(seed=seed)
+    op = normalize(undirected, NORMALIZED_LAPLACIAN)
+    dec = eigendecompose(op)
+    n_comp, labels = csgraph.connected_components(op.matrix, directed=False)
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(experiments._NOISE_VARIANCE)
+    rows = []
+    for omega in experiments._OMEGAS:
+        per_frac = {frac: [] for frac in known_fracs}
+        for _ in range(trials):
+            x = experiments.smooth_signal(dec, op.kind, rng)
+            noisy = x + rng.normal(0.0, sigma, n)
+            for frac in known_fracs:
+                count = max(1, round(frac * n))
+                known = rng.permutation(n)[:count]
+                while np.unique(labels[known]).size < n_comp:
+                    known = rng.permutation(n)[:count]
+                mask = np.zeros(n, dtype=bool)
+                mask[known] = True
+                task = experiments.InterpolationTask(mask=mask, omega=omega)
+                observed = np.where(mask, noisy, 0.0)
+                x_tilde, _ = experiments.interpolate(
+                    op, observed, task, experiments._INTERPOLATION_CG)
+                per_frac[frac].append(design.rnmse(x_tilde, x))
+        for frac in known_fracs:
+            rows.append(_row("interpolation", round(100 * frac), 0, 0,
+                             f"arma-cg-omega-{omega:g}", per_frac[frac], seed))
+    return experiments.ExperimentReport(rows=tuple(rows))

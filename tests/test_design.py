@@ -292,6 +292,13 @@ class TestErrors:
             modified_error(filt, problem), rel=1e-6
         )
 
+    def test_pole_on_the_grid_scores_inf(self):
+        grid = uniform_real_grid(41)  # holds lambda = 1, the root of 1 - lambda
+        h = ideal_lowpass(grid, 1.0)
+        for p, q in ((1, 0), (1, 2)):
+            problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
+            assert true_error(ArmaFilter(a=[1.0, -1.0], b=np.ones(q + 1)), problem) == np.inf
+
     def test_amplitude_only_resolution(self):
         disc = complex_disc_grid(20)
         real_h = np.ones(20, dtype=complex)
@@ -504,3 +511,124 @@ class TestLockstepSearch:
         others = [rep for (p, _), rep in solo.items() if p != best.filter.ar_order]
         got = best_order_search(grid, h, 9, "iterative")
         assert_same_report(got, min(others, key=ranking))
+
+
+def directed_spectrum_target():
+    """Spectrum grid of the studies' directed k-NN graph and a smooth signal's
+    GFT on it: the compression study's search."""
+    from graphfilt.experiments import experiment_graphs, smooth_signal
+    from graphfilt.graphs import NORMALIZED_ADJACENCY
+    from graphfilt.spectral import gft
+
+    directed, _ = experiment_graphs()
+    op = normalize(directed, NORMALIZED_ADJACENCY)
+    dec = eigendecompose(op)
+    x = smooth_signal(dec, op.kind, np.random.default_rng(3))
+    return spectrum_grid(dec), gft(dec, x)
+
+
+def lowpass_target(make_grid, n):
+    def target():
+        grid = make_grid(n)
+        return grid, ideal_lowpass(grid, 1.0)
+    return target
+
+
+TARGETS = {
+    "uniform-real": lowpass_target(uniform_real_grid, 40),
+    "complex-disc": lowpass_target(complex_disc_grid, 40),
+    "directed-spectrum": directed_spectrum_target,
+}
+
+
+class TestSearchTable:
+    """order_search_table designs each split once for all its budgets and
+    methods; every entry must be best_order_search's report, bit for bit."""
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_one_le_budget_search_answers_every_smaller_budget(self, target):
+        grid, h = TARGETS[target]()
+        budgets = [6, 0, 3, 6, 5, 1]  # unsorted, with a repeat
+        table = design.order_search_table(grid, h, budgets, ["iterative"], le_budget=True,
+                                          tau=12)
+        assert sorted(table) == [("iterative", k) for k in sorted(set(budgets))]
+        for k in budgets:
+            want = best_order_search(grid, h, k, "iterative", le_budget=True, tau=12)
+            assert_same_report(table["iterative", k], want)
+
+    def test_split_whose_solve_raises_mid_group(self, monkeypatch):
+        # (2, 3) fails at its third pass in every search and drops out of
+        # the candidates of budgets 5 and 6; the other splits of its group
+        # keep their bits
+        grid, h = TARGETS["directed-spectrum"]()
+        solve = design._solve_a0
+        passes = {}
+
+        def failing(lhs, rhs, problem):
+            if (problem.ar_order, problem.ma_order) == (2, 3):
+                count = passes.setdefault(id(problem), [problem, 0])
+                count[1] += 1
+                if count[1] == 3:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(lhs, rhs, problem)
+
+        monkeypatch.setattr(design, "_solve_a0", failing)
+        table = design.order_search_table(grid, h, range(7), ["iterative"], le_budget=True,
+                                          tau=12)
+        for k in range(7):
+            want = best_order_search(grid, h, k, "iterative", le_budget=True, tau=12)
+            assert_same_report(table["iterative", k], want)
+        # one run of the split in the table, one in each search at 5 and 6
+        assert [count for _, count in passes.values()] == [3, 3, 3]
+
+    @pytest.mark.parametrize("target", ["uniform-real", "complex-disc"])
+    @pytest.mark.parametrize("le_budget", [False, True])
+    def test_methods_share_the_iterative_initializations(self, target, le_budget):
+        grid, h = TARGETS[target]()
+        # at budget 8 on the 40-point uniform grid, ranking by the best of
+        # iterates 0 and 1 instead of iterate 0 would pick another split
+        budgets = [2, 5, 8]
+        table = design.order_search_table(grid, h, budgets, design.METHODS, le_budget)
+        for k in budgets:
+            for method in design.METHODS:
+                want = best_order_search(grid, h, k, method, le_budget=le_budget)
+                assert_same_report(table[method, k], want)
+
+    def test_projection_design_kept_when_the_passes_fail(self, monkeypatch):
+        # the prony-projection winner's iterative run raises at its second
+        # pass: it leaves the iterative candidates, not the prony-projection ones
+        grid, h = TARGETS["complex-disc"]()
+        want = best_order_search(grid, h, 5, "prony-projection")
+        split = (want.filter.ar_order, want.filter.ma_order)
+        solve = design._solve_a0
+
+        def failing(lhs, rhs, problem):
+            if (problem.ar_order, problem.ma_order) == split:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(lhs, rhs, problem)
+
+        monkeypatch.setattr(design, "_solve_a0", failing)
+        table = design.order_search_table(grid, h, [5], ["prony-projection", "iterative"])
+        assert_same_report(table["prony-projection", 5], want)
+        got = table["iterative", 5]
+        assert (got.filter.ar_order, got.filter.ma_order) != split
+        assert_same_report(got, best_order_search(grid, h, 5, "iterative"))
+
+    @pytest.mark.parametrize("method", ["prony-ls", "prony-projection"])
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_one_shot_searches_report_the_best_solo_design(self, method, target):
+        # the search scores every split and builds a report for the winner
+        # only; it must be the report the method gives that split alone
+        grid, h = TARGETS[target]()
+        for k in (3, 6):
+            solo = []
+            for p, q in order_candidates(k, le_budget=False):
+                problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
+                solo.append(run_method(method, problem))
+            got = best_order_search(grid, h, k, method)
+            assert_same_report(got, min(solo, key=ranking))
+
+    def test_unknown_method_rejected(self):
+        grid, h = TARGETS["uniform-real"]()
+        with pytest.raises(ParameterError, match="unknown design method"):
+            design.order_search_table(grid, h, [3], ["iterative", "newton"])

@@ -20,9 +20,9 @@ from graphfilt.experiments import (
     InterpolationTask,
     _backward_filter,
     _budget_candidates,
-    _reconstruct_from_filter,
     compress,
     compress_fir,
+    compression_study,
     experiment_graphs,
     interpolate,
     interpolation_study,
@@ -35,7 +35,14 @@ from graphfilt.experiments import (
 from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 from graphfilt.spectral import complex_disc_grid, uniform_real_grid
 
-from conftest import graph_from_rows, interpolation_matrix
+from conftest import (
+    graph_from_rows,
+    interpolation_matrix,
+    reference_compression_study,
+    reference_interpolation_study,
+    reference_prediction_study,
+    reference_universal_study,
+)
 
 
 def laplacian_op():
@@ -188,9 +195,13 @@ class TestPrediction:
         dec = eigendecompose(op)
         x = smooth_signal(dec, op.kind, np.random.default_rng(8), profile="decay")
         filt = ArmaFilter(a=[1.0, -0.4], b=[0.0, 0.5, 0.05])
+        from graphfilt.arma import arma_apply_direct
+
+        residual = x - arma_apply_direct(filt, op, x)
         errs = []
         for bits in (4, 6, 8, 12):
-            x_tilde, _, _ = _reconstruct_from_filter(filt, op, x, bits)
+            quantized = quantize_residual(residual, bits)
+            x_tilde = arma_apply_direct(_backward_filter(filt), op, quantized.values)
             errs.append(rnmse(x_tilde, x))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -323,3 +334,42 @@ class TestUniversalStudy:
         header = p1.read_text().splitlines()[0]
         assert header == "experiment,K,P,Q,method,rnmse_mean,rnmse_std,seed"
 
+
+
+def csv_text(report, path):
+    report.to_csv(path)
+    return path.read_text()
+
+
+class TestStudiesMatchReferenceLoops:
+    """Each study computes its shared work once; its CSV must be the one the
+    per-call loops in conftest write."""
+
+    def test_prediction(self, tmp_path):
+        args = ((3, 4), (3, 7, 16), 2, 5)
+        got = prediction_study(*args)
+        assert csv_text(got, tmp_path / "a.csv") == csv_text(
+            reference_prediction_study(*args), tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("k_values", [(2, 5), (6, 2, 4), (4, 2, 4), ()])
+    def test_compression(self, tmp_path, k_values):
+        # the K list may be unsorted or repeat a value
+        got = compression_study(k_values=k_values, trials=2, seed=3)
+        want = reference_compression_study(k_values, 2, 3)
+        assert csv_text(got, tmp_path / "a.csv") == csv_text(want, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("grid_kind, n_points, k_values, methods", [
+        ("uniform-real", 40, (2, 5, 2), ("fir", "prony-ls", "prony-projection", "iterative")),
+        ("complex-disc", 36, (3, 4), ("iterative", "prony-projection")),
+        ("complex-disc", 36, (4,), ("prony-projection", "fir")),
+        ("er-spectrum", 0, (3,), ("prony-ls", "iterative", "fir")),
+    ])
+    def test_universal(self, tmp_path, grid_kind, n_points, k_values, methods):
+        got = universal_study(grid_kind, n_points, k_values, methods, er_trials=2, seed=4)
+        want = reference_universal_study(grid_kind, n_points, k_values, methods, 2, 4)
+        assert csv_text(got, tmp_path / "a.csv") == csv_text(want, tmp_path / "b.csv")
+
+    def test_interpolation(self, tmp_path):
+        got = interpolation_study(known_fracs=(0.1, 0.5), trials=3, seed=6)
+        want = reference_interpolation_study((0.1, 0.5), 3, 6)
+        assert csv_text(got, tmp_path / "a.csv") == csv_text(want, tmp_path / "b.csv")
