@@ -33,6 +33,9 @@ METHODS = (PRONY_LS, PRONY_PROJECTION, ITERATIVE)
 _RHO = 1e-8
 # stop the iterative design once the error vector moves less than this
 _DELTA_C = 1e-10
+# passes without a new best error after which an order search's split leaves
+# the pass loop, unless it leads its group
+_PATIENCE = 20
 
 
 def rnmse(estimate, reference) -> float:
@@ -411,7 +414,7 @@ _FITS = {PRONY_LS: _ls_fit, PRONY_PROJECTION: _projection_fit}
 @dataclass
 class _Run:
     """One problem's passes: its iterates, the initialization first, and
-    their true errors."""
+    their true errors; best is the lowest error and best_pass its first index."""
 
     problem: DesignProblem
     basis: _Basis
@@ -422,6 +425,8 @@ class _Run:
     warnings: set
     error: np.linalg.LinAlgError | None  # raised by a solve; ends the run
     projection: tuple | None  # (imag residue, warnings) of a prony_projection init
+    best: float = math.inf
+    best_pass: int = 0
 
     @classmethod
     def start(cls, problem: DesignProblem, init: ArmaFilter | None, projectors=None):
@@ -434,6 +439,16 @@ class _Run:
         return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None,
                    projection)
 
+    def record(self, error: float) -> None:
+        """Append the true error of the latest iterate to the history."""
+        if error < self.best:
+            self.best, self.best_pass = error, len(self.history)
+        self.history.append(error)
+
+    def rank(self):
+        """The search's ranking key of this run's best iterate."""
+        return _rank((self.best, *_orders(self.problem)))
+
 
 def _iterate(runs, tau: int) -> None:
     """Run the passes of iterative_design for several runs in lockstep.
@@ -441,7 +456,13 @@ def _iterate(runs, tau: int) -> None:
     The runs' problems share grid, target, weights, b0 pin and P + Q. A run
     leaves the loop when the l2 change of its error vector drops below
     _DELTA_C, when its system goes non-finite, when its solve raises
-    LinAlgError (kept in run.error), or after tau passes.
+    LinAlgError (kept in run.error), or after tau passes. With more than one
+    run, a run also leaves, unconverged, once _PATIENCE passes have gone by
+    since its best error, unless it is the group's leader: the run without a
+    solve error that ranks first by the search's key (best error, P, Q). The
+    leader's best only falls, so a run that leaves could win only by passing
+    it later, after that many passes without a gain. Unless that happens,
+    the search's winner runs every pass it runs alone.
 
     The weights, the system fill, the finite checks and the score run once
     per pass, on stacked arrays with one row per live run. The least-squares
@@ -460,7 +481,7 @@ def _iterate(runs, tau: int) -> None:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         err_true, err_prev = score(alpha, beta)
         for run, e in zip(runs, err_true.tolist()):
-            run.history.append(e)
+            run.record(e)
         for _ in range(tau):
             n = len(live)
             rho = _RHO * np.abs(alpha).max(axis=1)
@@ -495,10 +516,16 @@ def _iterate(runs, tau: int) -> None:
             delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
             for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
                 if going[i]:
-                    live[i].history.append(e)
+                    live[i].record(e)
                     if d < _DELTA_C:
                         live[i].converged = True
                         going[i] = False
+            stale = [i for i, run in enumerate(live)
+                     if going[i] and len(run.history) - 1 - run.best_pass >= _PATIENCE]
+            if stale and len(runs) > 1:
+                leader = min((run for run in runs if run.error is None), key=_Run.rank)
+                for i in stale:
+                    going[i] = live[i] is leader
             if not all(going):
                 live = [run for run, g in zip(live, going) if g]
                 if not live:
@@ -510,13 +537,13 @@ def _iterate(runs, tau: int) -> None:
 
 def _iterative_report(run: _Run) -> DesignReport:
     """The report of a run: its best-error iterate, with the whole history."""
-    if not np.isfinite(run.history).any():
+    if not math.isfinite(run.best):
         raise InstabilityError(
             "every iterate produced an unstable filter", history=tuple(run.history)
         )
     iterates = [ArmaFilter(a=a, b=b) for a, b in run.iterates]
     return _make_report(
-        iterates[int(np.argmin(run.history))], run.problem, run.basis, ITERATIVE,
+        iterates[run.best_pass], run.problem, run.basis, ITERATIVE,
         run.max_residue, sorted(run.warnings),
         iterations=len(run.history) - 1,
         history=run.history,
@@ -589,7 +616,9 @@ def best_order_search(
     Ties break toward smaller AR order, then smaller MA order, so the
     reduction is deterministic regardless of evaluation order. Candidates
     whose design fails are skipped. The iterative method runs the passes of
-    all splits with the same ar + ma in lockstep, and reports only the winner.
+    all splits with the same ar + ma in lockstep, retires a split that trails
+    its group's leader once _PATIENCE passes have gone by since its best
+    error, and reports only the winner, as iterative_design reports it alone.
     """
     return order_search_table(grid, h_hat, [budget], [method], le_budget, tau)[method, budget]
 
@@ -609,7 +638,8 @@ def order_search_table(
     every smaller one. With both prony-projection and iterative asked, the
     prony-projection designs are the iterative runs' initializations. Each
     entry is the (error, ar, ma) minimum over its own budget's splits, so it
-    equals best_order_search's report.
+    equals best_order_search's report: iterative splits are retired within
+    their ar + ma group, which is the same in every search that holds it.
     """
     budgets = list(dict.fromkeys(budgets))
     sums = {k: {p + q for p, q in _feasible(grid, k, le_budget)} for k in budgets}
@@ -670,7 +700,7 @@ def _group_designs(problems, methods, tau: int, projectors: dict) -> dict:
         if runs:
             _iterate(runs, tau)
         out[ITERATIVE] = [
-            (min(run.history), *_orders(run.problem), partial(_iterative_report, run))
+            (run.best, *_orders(run.problem), partial(_iterative_report, run))
             for run in runs
             if run.error is None
         ]

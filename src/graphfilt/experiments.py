@@ -229,6 +229,11 @@ class QuantizedResidual:
     values: np.ndarray
 
 
+def _check_bits(total_bits: int) -> None:
+    if total_bits < 3:
+        raise ParameterError(f"need a bit budget of at least 3 bits, got {total_bits}")
+
+
 def quantize_residual(residual, total_bits: int) -> QuantizedResidual:
     """Quantize a residual with a total bit budget.
 
@@ -236,8 +241,7 @@ def quantize_residual(residual, total_bits: int) -> QuantizedResidual:
     (never negative), and the remainder on the fraction; values round half
     to even and clamp at the largest representable magnitude.
     """
-    if total_bits < 3:
-        raise ParameterError(f"need at least 3 bits, got {total_bits}")
+    _check_bits(total_bits)
     r = np.asarray(residual, dtype=float)
     peak = float(np.max(np.abs(r))) if r.size else 0.0
     integer_bits = max(0, math.ceil(math.log2(peak))) if peak > 0.0 else 0
@@ -285,6 +289,7 @@ def predict(
     problem, since inflating all coefficients drives the design error to
     zero while the backward filter blows up.
     """
+    _check_bits(bits)
     x = np.asarray(x, dtype=float)
     predictor = _Predictor(op)
     return predictor.best(x, predictor.candidates(x, ar_order, ma_order), bits)
@@ -328,10 +333,10 @@ class _Predictor:
         """The candidate whose quantized reconstruction at bits is best."""
         best = None
         for idx, filt, residual, back, back_matrix in candidates:
+            quantized = quantize_residual(residual, bits)
             try:
-                quantized = quantize_residual(residual, bits)
                 x_tilde = self.solver.solve(back_matrix, back.b, quantized.values)
-            except (SingularSystemError, ParameterError):
+            except SingularSystemError:
                 continue
             err = rnmse(x_tilde, x)
             if not math.isfinite(err):
@@ -753,6 +758,8 @@ def prediction_study(
 
     Each (K, trial) designs once for every bit budget.
     """
+    for bits in bit_values:
+        _check_bits(bits)
     directed, _ = experiment_graphs()
     op = normalize(directed, NORMALIZED_ADJACENCY)
     predictor = _Predictor(op)

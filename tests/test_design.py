@@ -430,6 +430,33 @@ def assert_same_report(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
+def retired_runs(runs, solo):
+    """The runs of one pass loop that left before their solo design ended.
+
+    Asserts that every run's history is a prefix of its solo history, and
+    that a run that left early trailed its group's leader, ranked by (best
+    error so far, P, Q) among the runs without a solve error at that pass,
+    and had gone _PATIENCE passes without a new best.
+    """
+    retired = []
+    for run in runs:
+        if run.error is not None:
+            continue
+        full = solo[run.problem.ar_order, run.problem.ma_order].error_history
+        last = len(run.history) - 1
+        assert tuple(run.history) == full[:last + 1]
+        if last == len(full) - 1:
+            continue
+        assert not run.converged
+        assert last - int(np.argmin(run.history)) == design._PATIENCE
+        rivals = [r for r in runs if r.error is None or len(r.history) > last]
+        leader = min(rivals, key=lambda r: (min(r.history[:last + 1]),
+                                             r.problem.ar_order, r.problem.ma_order))
+        assert leader is not run
+        retired.append(run)
+    return retired
+
+
 def solo_reports(grid, h, cands):
     """iterative_design of each split on its own; failing splits left out."""
     reports = {}
@@ -442,9 +469,15 @@ def solo_reports(grid, h, cands):
     return reports
 
 
+# _solve_a0 calls of the iterative budget-19 search on each 100-point grid.
+# Without retiring splits that trail their group, the search made 952 and 920.
+_BUDGET_19_PASSES = {"uniform-real": 457, "complex-disc": 426}
+
+
 class TestLockstepSearch:
     """The order search runs the passes of every split with the same P + Q
-    together; each split must get the bits it gets from iterative_design alone."""
+    together, and retires splits that trail; each split must get a prefix of
+    the bits it gets from iterative_design alone, and the winner all of them."""
 
     @pytest.mark.parametrize("le_budget", [False, True])
     @pytest.mark.parametrize("budget", [5, 9])
@@ -479,21 +512,70 @@ class TestLockstepSearch:
             for p, q in cands
         ]
         design._iterate(runs, 50)
-        for (p, q), run in zip(cands, runs):
-            if p == 2:
-                assert isinstance(run.error, np.linalg.LinAlgError)
-                assert len(run.history) == 3
-            else:
-                assert run.error is None
-                assert_same_report(design._iterative_report(run), solo[p, q])
+        failed = runs[2]
+        assert isinstance(failed.error, np.linalg.LinAlgError)
+        assert len(failed.history) == 3
+        assert all(run.error is None for run in runs if run is not failed)
+        assert retired_runs(runs, solo)  # (4, 1) and (5, 0) leave early
+        others = [rep for (p, _), rep in solo.items() if p != 2]
+        winner = min(others, key=ranking)
+        assert_same_report(
+            design._iterative_report(runs[winner.filter.ar_order]), winner
+        )
 
         passes.clear()
-        others = [rep for (p, _), rep in solo.items() if p != 2]
-        got = best_order_search(grid, h, 5, "iterative")
-        assert_same_report(got, min(others, key=ranking))
+        assert_same_report(best_order_search(grid, h, 5, "iterative"), winner)
         passes.clear()
         with pytest.raises(np.linalg.LinAlgError):
             iterative_design(DesignProblem(grid=grid, h_hat=h, ar_order=2, ma_order=3))
+
+    @pytest.mark.parametrize("make_grid, budget, le_budget", [
+        (uniform_real_grid, 19, False),
+        (complex_disc_grid, 13, False),
+        (uniform_real_grid, 9, True),
+    ])
+    def test_retired_splits_leave_the_winner_unchanged(
+        self, monkeypatch, make_grid, budget, le_budget
+    ):
+        grid = make_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        solo = solo_reports(grid, h, order_candidates(budget, le_budget))
+        groups = []
+        iterate = design._iterate
+
+        def recording(runs, tau):
+            iterate(runs, tau)
+            groups.append(runs)
+
+        monkeypatch.setattr(design, "_iterate", recording)
+        got = best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
+        assert_same_report(got, min(solo.values(), key=ranking))
+        assert sum(len(retired_runs(runs, solo)) for runs in groups) > 0
+
+    def test_iterative_design_alone_runs_every_pass(self):
+        # (16, 3) never converges and its best iterate is its initialization;
+        # in the budget-19 search it leaves the pass loop after _PATIENCE passes
+        grid = uniform_real_grid(100)
+        problem = DesignProblem(grid=grid, h_hat=ideal_lowpass(grid, 1.0),
+                                ar_order=16, ma_order=3)
+        report = iterative_design(problem)
+        assert not report.converged
+        assert report.iterations == 50 and len(report.error_history) == 51
+        assert int(np.argmin(report.error_history)) + design._PATIENCE < 50
+
+    @pytest.mark.parametrize("make_grid", [uniform_real_grid, complex_disc_grid])
+    def test_budget_19_search_pass_count(self, monkeypatch, make_grid):
+        solves = []
+        solve = design._solve_a0
+
+        def counting(lhs, rhs, problem):
+            solves.append(1)
+            return solve(lhs, rhs, problem)
+
+        monkeypatch.setattr(design, "_solve_a0", counting)
+        grid = make_grid(100)
+        best_order_search(grid, ideal_lowpass(grid, 1.0), 19, "iterative")
+        assert len(solves) == _BUDGET_19_PASSES[grid.kind]
 
     def test_failing_initialization_skips_only_that_split(self, monkeypatch):
         grid = uniform_real_grid(100)

@@ -244,6 +244,19 @@ class TestPrediction:
         assert result.rnmse <= 1e-2
         assert result.quantized.total_bits == 16
 
+    def test_bit_budget_below_three_rejected_before_designing(self, monkeypatch):
+        # it used to surface as "no design iterate produced a solvable
+        # backward filter", after a design whose every iterate was skipped
+        def no_design(problem, tau):
+            raise AssertionError("designed for an invalid bit budget")
+
+        monkeypatch.setattr(experiments, "iterative_design", no_design)
+        op = adjacency_op()
+        with pytest.raises(ParameterError, match="bit budget of at least 3 bits, got 2"):
+            predict(op, np.ones(op.n), 1, 2, 2)
+        with pytest.raises(ParameterError, match="bit budget of at least 3 bits, got 1"):
+            prediction_study(k_values=(3,), bit_values=(3, 1), trials=1)
+
     def test_study_rows_decrease_in_bits(self):
         report = prediction_study(k_values=(3,), bit_values=(3, 7), trials=3, seed=5)
         by_bits = {r.method: r.mean for r in report.rows}
