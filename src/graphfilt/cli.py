@@ -280,6 +280,11 @@ def _cmd_apply(args) -> int:
         else:
             cfg = CgConfig(epsilon=args.cg_eps, max_iterations=args.cg_max_iter)
             y, trace = arma_apply_cg(filt, op, x, cfg)
+            if not trace.converged:
+                residual = trace.residual_norms[-1] / trace.residual_norms[0]
+                print(f"warning: CG did not converge in {trace.iterations} iterations: "
+                      f"relative residual {residual:.3g}, epsilon {cfg.epsilon:g}",
+                      file=sys.stderr)
             if args.trace:
                 _atomic_writer(args.trace, lambda p: trace_to_csv(trace, p))
     else:

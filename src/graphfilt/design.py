@@ -11,9 +11,10 @@ their imaginary residue is recorded and truncated.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import Counter
 from functools import partial
 
@@ -98,13 +99,7 @@ class DesignProblem:
     def __post_init__(self):
         h = np.asarray(self.h_hat, dtype=complex)
         object.__setattr__(self, "h_hat", h)
-        if self.ar_order < 0 or self.ma_order < 0:
-            raise ParameterError("orders must be non-negative")
-        if self.grid.n < self.ar_order + self.ma_order + 1:
-            raise ParameterError(
-                f"need at least {self.ar_order + self.ma_order + 1} grid points, "
-                f"got {self.grid.n}"
-            )
+        self._check_orders()
         validate_conjugate_pairs(h, self.grid)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
@@ -113,6 +108,24 @@ class DesignProblem:
             if not np.all(np.isfinite(w)) or np.any(w < 0):
                 raise ParameterError("weights must be finite and non-negative")
             object.__setattr__(self, "weights", w)
+
+    def _check_orders(self) -> None:
+        if self.ar_order < 0 or self.ma_order < 0:
+            raise ParameterError("orders must be non-negative")
+        if self.grid.n < self.ar_order + self.ma_order + 1:
+            raise ParameterError(
+                f"need at least {self.ar_order + self.ma_order + 1} grid points, "
+                f"got {self.grid.n}"
+            )
+
+    def _at_orders(self, ar_order: int, ma_order: int) -> DesignProblem:
+        """This problem at other orders. The target and the weights, checked
+        when this problem was built, are not checked again."""
+        problem = copy.copy(self)
+        object.__setattr__(problem, "ar_order", ar_order)
+        object.__setattr__(problem, "ma_order", ma_order)
+        problem._check_orders()
+        return problem
 
     @property
     def weight_vector(self) -> np.ndarray:
@@ -152,25 +165,53 @@ class DesignReport:
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """Vandermonde columns, target and error scale of one design, built once.
+class _Target:
+    """A design target as the solves see it, built once per target and
+    shared by the bases of all the splits designed for it.
 
-    The arrays are float64 when the grid frequencies and the target are
+    lam and h are float64 when the grid frequencies and the target are
     exactly real, so every solve and product built on them runs in real
-    arithmetic; otherwise they are complex128.
+    arithmetic; otherwise they are complex128. In a pass loop, h, h_norm
+    and abs_h may instead stack the targets of the loop's runs, one row each.
     """
 
-    psi_p: np.ndarray
-    psi_q: np.ndarray
-    psi_b: np.ndarray  # the numerator columns left free: psi_q, less b0 when pinned
+    lam: np.ndarray
     h: np.ndarray
     weights: np.ndarray | None
-    h_norm: float
+    h_norm: float | np.ndarray  # ||w * h||
     abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
-    # numerator-complement projectors by column count of psi_b, shared by the
-    # bases of problems with the same grid, weights and b0 pin; only the
-    # counts present as keys are kept
-    projectors: dict
+
+    @classmethod
+    def of(cls, problem: DesignProblem) -> _Target:
+        lam, h = problem.grid.lambdas, problem.h_hat
+        if problem.grid.all_real and not np.any(h.imag):
+            lam, h = lam.real, h.real.copy()
+        w = problem.weights
+        return cls(lam, h, w, float(np.linalg.norm(h if w is None else w * h)),
+                   np.abs(h) if problem.use_amplitude_error else None)
+
+    @property
+    def mode(self):
+        """What targets must share to be solved and scored in one stack:
+        the arithmetic and whether errors are scored on magnitudes."""
+        return self.h.dtype, self.abs_h is None
+
+    @classmethod
+    def rows(cls, targets) -> _Target:
+        """The targets of several runs, one row each, or the one target
+        they all share. They must share the grid, the weights and the mode."""
+        first = targets[0]
+        if all(t is first for t in targets):
+            return first
+        return cls(first.lam, np.stack([t.h for t in targets]), first.weights,
+                   np.array([t.h_norm for t in targets]),
+                   None if first.abs_h is None else np.stack([t.abs_h for t in targets]))
+
+    def keep(self, rows) -> _Target:
+        if self.h.ndim == 1:
+            return self
+        return _Target(self.lam, self.h[rows], self.weights, self.h_norm[rows],
+                       None if self.abs_h is None else self.abs_h[rows])
 
     def scores(self, alpha, beta):
         """True RNMSEs of the responses beta/alpha, and their weighted error vectors.
@@ -196,22 +237,58 @@ class _Basis:
         vals[~np.isfinite(vals)] = np.inf
         return vals, err
 
+
+class _Columns:
+    """Vandermonde columns and numerator projectors on one grid, built once
+    for every design of a search table that shares the arithmetic, the
+    weights and the b0 pin."""
+
+    def __init__(self, lam, shared_projectors=()):
+        self.lam = lam
+        self.powers = {}  # Vandermonde matrices by column count
+        # numerator-complement projectors by column count of psi_b; only the
+        # counts present as keys are kept
+        self.projectors = dict.fromkeys(shared_projectors)
+
+    def vandermonde(self, cols: int) -> np.ndarray:
+        found = self.powers.get(cols)
+        if found is None:
+            found = self.powers[cols] = vandermonde(self.lam, cols)
+        return found
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """Vandermonde columns and target of one design."""
+
+    psi_p: np.ndarray
+    psi_q: np.ndarray
+    psi_b: np.ndarray  # the numerator columns left free: psi_q, less b0 when pinned
+    target: _Target
+    columns: _Columns
+
+    @property
+    def unknowns(self) -> int:
+        """Columns of the a0 = 1 system: a_1..a_P and the free numerator."""
+        return self.psi_p.shape[1] - 1 + self.psi_b.shape[1]
+
     def score(self, a, b) -> float:
         """True RNMSE of the filter with coefficients a and b."""
-        return float(self.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
+        return float(self.target.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
 
     def projector(self, w) -> np.ndarray:
         """I - W Psi_b pinv(W Psi_b) for W = diag(w): the projector onto the
         orthogonal complement of the weighted numerator range."""
         cols = self.psi_b.shape[1]
-        found = self.projectors.get(cols)
+        projectors = self.columns.projectors
+        found = projectors.get(cols)
         if found is None:
             weighted_b = w[:, None] * self.psi_b
             found = np.eye(len(w)) - weighted_b @ np.linalg.pinv(
                 weighted_b, rcond=_LSTSQ_RCOND
             )
-            if cols in self.projectors:
-                self.projectors[cols] = found
+            if cols in projectors:
+                projectors[cols] = found
         return found
 
 
@@ -231,21 +308,19 @@ def _sq_norms(rows, selected) -> np.ndarray:
     return out
 
 
-def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int, projectors=None) -> _Basis:
-    lam, h = problem.grid.lambdas, problem.h_hat
-    if problem.grid.all_real and not np.any(h.imag):
-        lam, h = lam.real, h.real.copy()
-    w = problem.weights
-    psi_q = vandermonde(lam, ma_cols)
+def _basis(problem: DesignProblem, ar_cols: int, ma_cols: int, columns=None,
+           target=None) -> _Basis:
+    if target is None:
+        target = _Target.of(problem)
+    if columns is None:
+        columns = _Columns(target.lam)
+    psi_q = columns.vandermonde(ma_cols)
     return _Basis(
-        psi_p=vandermonde(lam, ar_cols),
+        psi_p=columns.vandermonde(ar_cols),
         psi_q=psi_q,
         psi_b=psi_q[:, 1:] if problem.constrain_b0_zero else psi_q,
-        h=h,
-        weights=w,
-        h_norm=float(np.linalg.norm(h if w is None else w * h)),
-        abs_h=np.abs(h) if problem.use_amplitude_error else None,
-        projectors={} if projectors is None else projectors,
+        target=target,
+        columns=columns,
     )
 
 
@@ -265,47 +340,58 @@ def modified_error(filt: ArmaFilter, problem: DesignProblem) -> float:
 
 @dataclass(frozen=True)
 class _A0Systems:
-    """The a0 = 1 least-squares systems of problems that share P + Q.
+    """The a0 = 1 least-squares systems of problems on one grid.
 
     The unknowns are theta = [a_1..a_P; b], with a0 = 1 moved to the right
     side. Systems are stored transposed, so that every elementwise pass runs
-    along the grid: template[c] holds [Psi_P[:, 1:] | -Psi_b].T of problem c
-    and a_rows[c] marks its Psi_P rows. The problems share the target and
-    the weights, so one basis scores them all.
+    along the grid, and padded to the most unknowns of the stack:
+    template[c, :k] holds [Psi_P[:, 1:] | -Psi_b].T of problem c with k
+    unknowns, zero rows follow, and a_rows[c] marks its Psi_P rows. A solve
+    reads the first k rows only. The problems share the weights and the
+    mode of their targets; target holds their targets, one row each, or the
+    one target they share.
     """
 
     template: np.ndarray
     a_rows: np.ndarray
-    basis: _Basis
-    neg_h: np.ndarray
+    target: _Target
+    h_fill: np.ndarray = field(init=False)
+    neg_h: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        h = self.target.h
+        object.__setattr__(self, "h_fill", h if h.ndim == 1 else h[:, None, :])
+        object.__setattr__(self, "neg_h", -h)
 
     @classmethod
     def build(cls, bases):
-        lead = bases[0]
         ar = [bs.psi_p.shape[1] - 1 for bs in bases]
-        template = np.empty((len(bases), ar[0] + lead.psi_b.shape[1], len(lead.h)),
-                            dtype=lead.h.dtype)
-        for t, p, bs in zip(template, ar, bases):
+        unknowns = [bs.unknowns for bs in bases]
+        target = _Target.rows([bs.target for bs in bases])
+        template = np.zeros((len(bases), max(unknowns), len(target.lam)),
+                            dtype=target.h.dtype)
+        for t, p, k, bs in zip(template, ar, unknowns, bases):
             t[:p] = bs.psi_p[:, 1:].T
-            np.negative(bs.psi_b.T, out=t[p:])
+            np.negative(bs.psi_b.T, out=t[p:k])
         a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
         a_rows = np.repeat(a_rows[:, :, None], template.shape[2], axis=2)
-        return cls(template, a_rows, lead, -lead.h)
+        return cls(template, a_rows, target)
 
     def fill(self, lhs, rhs, gamma) -> None:
         """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b].T into lhs[c] and -G h into rhs[c].
 
         G = diag(gamma[c]). Each entry is (gamma * psi) * h or gamma * (-psi),
         which is -(gamma * psi) exactly, the same operations in the same order
-        for every problem of the stack.
+        for every problem of the stack. A zero row of the padding turns
+        non-finite only where gamma is, and then so does the right side.
         """
         np.multiply(gamma[:, None, :], self.template, out=lhs)
-        np.multiply(lhs, self.basis.h, out=lhs, where=self.a_rows)
+        np.multiply(lhs, self.h_fill, out=lhs, where=self.a_rows)
         np.multiply(gamma, self.neg_h, out=rhs)
 
     def weigh(self, lhs, rhs) -> None:
         """Scale the filled systems by the weights (None for all ones)."""
-        w = self.basis.weights
+        w = self.target.weights
         if w is not None:
             lhs *= w
             rhs *= w
@@ -318,7 +404,7 @@ class _A0Systems:
         return (np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist()
 
     def keep(self, rows):
-        return _A0Systems(self.template[rows], self.a_rows[rows], self.basis, self.neg_h)
+        return _A0Systems(self.template[rows], self.a_rows[rows], self.target.keep(rows))
 
 
 _ONE, _ZERO = np.ones(1), np.zeros(1)
@@ -379,7 +465,7 @@ def _ls_fit(problem: DesignProblem, basis: _Basis):
     """The coefficients of prony_ls: (a, b, imag residue, warnings)."""
     systems = _A0Systems.build([basis])
     lhs = np.empty_like(systems.template)
-    rhs = np.empty((1, problem.grid.n), dtype=basis.h.dtype)
+    rhs = np.empty((1, problem.grid.n), dtype=basis.target.h.dtype)
     systems.fill(lhs, rhs, np.ones((1, problem.grid.n)))
     systems.weigh(lhs, rhs)
     a, b, residue, deficient = _solve_a0(lhs[0].T, rhs[0], problem)
@@ -389,7 +475,7 @@ def _ls_fit(problem: DesignProblem, basis: _Basis):
 def _projection_fit(problem: DesignProblem, basis: _Basis):
     """The coefficients of prony_projection: (a, b, imag residue, warnings)."""
     w = problem.weight_vector
-    psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.h
+    psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.target.h
 
     block_a = basis.projector(w) @ (w[:, None] * (psi_p * h[:, None]))
     theta, residue_a, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
@@ -414,7 +500,8 @@ _FITS = {PRONY_LS: _ls_fit, PRONY_PROJECTION: _projection_fit}
 @dataclass
 class _Run:
     """One problem's passes: its iterates, the initialization first, and
-    their true errors; best is the lowest error and best_pass its first index."""
+    their true errors; best is the lowest error and best_pass its first index.
+    target_index numbers the run's target within its search table."""
 
     problem: DesignProblem
     basis: _Basis
@@ -425,19 +512,22 @@ class _Run:
     warnings: set
     error: np.linalg.LinAlgError | None  # raised by a solve; ends the run
     projection: tuple | None  # (imag residue, warnings) of a prony_projection init
+    target_index: int = 0
     best: float = math.inf
     best_pass: int = 0
 
     @classmethod
-    def start(cls, problem: DesignProblem, init: ArmaFilter | None, projectors=None):
+    def start(cls, problem: DesignProblem, init: ArmaFilter | None, basis=None,
+              target_index: int = 0):
         """A run from init, or from the prony_projection design."""
-        basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1, projectors)
+        if basis is None:
+            basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
         projection = None
         if init is None:
             a, b, residue, warnings = _projection_fit(problem, basis)
             init, projection = ArmaFilter(a=a, b=b), (residue, warnings)
         return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None,
-                   projection)
+                   projection, target_index)
 
     def record(self, error: float) -> None:
         """Append the true error of the latest iterate to the history."""
@@ -449,37 +539,53 @@ class _Run:
         """The search's ranking key of this run's best iterate."""
         return _rank((self.best, *_orders(self.problem)))
 
+    @property
+    def group(self):
+        """The runs this one competes with: one target, one ar + ma."""
+        return self.target_index, self.problem.ar_order + self.problem.ma_order
+
 
 def _iterate(runs, tau: int) -> None:
-    """Run the passes of iterative_design for several runs in lockstep.
+    """Run the passes of iterative_design for several runs in one pass loop.
 
-    The runs' problems share grid, target, weights, b0 pin and P + Q. A run
-    leaves the loop when the l2 change of its error vector drops below
-    _DELTA_C, when its system goes non-finite, when its solve raises
-    LinAlgError (kept in run.error), or after tau passes. With more than one
-    run, a run also leaves, unconverged, once _PATIENCE passes have gone by
-    since its best error, unless it is the group's leader: the run without a
-    solve error that ranks first by the search's key (best error, P, Q). The
-    leader's best only falls, so a run that leaves could win only by passing
-    it later, after that many passes without a gain. Unless that happens,
-    the search's winner runs every pass it runs alone.
+    The runs' problems share the grid and the weights, and their targets the
+    arithmetic and whether errors are scored on magnitudes (_Target.mode);
+    targets, orders and b0 pins may differ. A run leaves the loop when the
+    l2 change of its error vector drops below _DELTA_C, when its system goes
+    non-finite, when its solve raises LinAlgError (kept in run.error), or
+    after tau passes. A run also leaves, unconverged, once _PATIENCE passes
+    have gone by since its best error, unless it leads its group (_Run.group:
+    the runs of its target with its ar + ma): the leader is the group's run
+    without a solve error that ranks first by the search's key (best error,
+    P, Q). A group of one never retires. The leader's best only falls, so a
+    run that leaves could win only by passing it later, after that many
+    passes without a gain. Unless that happens, a group's winner runs every
+    pass it runs alone.
 
-    The weights, the system fill, the finite checks and the score run once
-    per pass, on stacked arrays with one row per live run. The least-squares
-    solve, the products alpha = Psi_P a and beta = Psi_Q b and the norms'
-    dot products run per run, so each run gets the bits it would get alone.
+    The weights, the system fill, the finite checks, the scores and the
+    error-vector changes run once per pass, on stacked arrays with one row
+    per live run. The least-squares solve, the products alpha = Psi_P a and
+    beta = Psi_Q b and the norms' dot products run per run, so each run gets
+    the bits it would get alone.
     """
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
+    groups = {}
+    for run in runs:
+        groups.setdefault(run.group, []).append(run)
     systems = _A0Systems.build([run.basis for run in runs])
-    score = systems.basis.scores
     alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
     beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
     lhs, rhs = np.empty_like(systems.template), np.empty_like(alpha)
-    lhs_t = lhs.transpose(0, 2, 1)  # lhs_t[i] is the system matrix of row i
+    lhs_t = lhs.transpose(0, 2, 1)
     live = runs  # the runs still iterating, one per row of the stacks
+
+    def matrices():  # the system matrix of each live row, as its solve reads it
+        return [lhs_t[i, :, :run.basis.unknowns] for i, run in enumerate(live)]
+
+    system = matrices()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err_true, err_prev = score(alpha, beta)
+        err_true, err_prev = systems.target.scores(alpha, beta)
         for run, e in zip(runs, err_true.tolist()):
             run.record(e)
         for _ in range(tau):
@@ -499,7 +605,7 @@ def _iterate(runs, tau: int) -> None:
                     run.warnings.add("non-finite-iterate")
                     continue
                 try:
-                    a, b, residue, deficient = _solve_a0(lhs_t[i], rhs[i], run.problem)
+                    a, b, residue, deficient = _solve_a0(system[i], rhs[i], run.problem)
                 except np.linalg.LinAlgError as exc:
                     run.error = exc
                     going[i] = False
@@ -511,7 +617,7 @@ def _iterate(runs, tau: int) -> None:
                 run.iterates.append((a, b))
                 np.matmul(run.basis.psi_p, a, out=alpha[i])
                 np.matmul(run.basis.psi_q, b, out=beta[i])
-            err_true, err_new = score(alpha, beta)
+            err_true, err_new = systems.target.scores(alpha, beta)
             finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
             delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
             for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
@@ -522,9 +628,10 @@ def _iterate(runs, tau: int) -> None:
                         going[i] = False
             stale = [i for i, run in enumerate(live)
                      if going[i] and len(run.history) - 1 - run.best_pass >= _PATIENCE]
-            if stale and len(runs) > 1:
-                leader = min((run for run in runs if run.error is None), key=_Run.rank)
-                for i in stale:
+            for i in stale:
+                group = groups[live[i].group]
+                if len(group) > 1:
+                    leader = min((run for run in group if run.error is None), key=_Run.rank)
                     going[i] = live[i] is leader
             if not all(going):
                 live = [run for run, g in zip(live, going) if g]
@@ -532,6 +639,7 @@ def _iterate(runs, tau: int) -> None:
                     break
                 systems = systems.keep(going)
                 alpha, beta, err_new = alpha[going], beta[going], err_new[going]
+                system = matrices()
             err_prev = err_new
 
 
@@ -616,8 +724,8 @@ def best_order_search(
     Ties break toward smaller AR order, then smaller MA order, so the
     reduction is deterministic regardless of evaluation order. Candidates
     whose design fails are skipped. The iterative method runs the passes of
-    all splits with the same ar + ma in lockstep, retires a split that trails
-    its group's leader once _PATIENCE passes have gone by since its best
+    all splits in one pass loop, retires a split that trails the leader of
+    its ar + ma group once _PATIENCE passes have gone by since its best
     error, and reports only the winner, as iterative_design reports it alone.
     """
     return order_search_table(grid, h_hat, [budget], [method], le_budget, tau)[method, budget]
@@ -630,44 +738,44 @@ def order_search_table(
     methods,
     le_budget: bool = False,
     tau: int = 50,
-) -> dict:
+):
     """best_order_search at every budget and method, keyed (method, budget).
 
-    Each split of the budgets is designed once per method, whatever number
-    of budgets it serves: one le_budget search at the largest budget answers
-    every smaller one. With both prony-projection and iterative asked, the
-    prony-projection designs are the iterative runs' initializations. Each
-    entry is the (error, ar, ma) minimum over its own budget's splits, so it
-    equals best_order_search's report: iterative splits are retired within
-    their ar + ma group, which is the same in every search that holds it.
+    h_hat is one target of shape (N,), which gives one table, or a stack of
+    targets of shape (T, N), which gives a list of T tables. Each target is
+    validated once, and each split of the budgets is designed once per
+    method and target, whatever number of budgets it serves: one le_budget
+    search at the largest budget answers every smaller one. With both
+    prony-projection and iterative asked, the prony-projection designs are
+    the iterative runs' initializations. The iterative runs of every split
+    and target share one pass loop (one per _Target.mode, should a table mix
+    them), and the Vandermonde columns and numerator projectors are built
+    once for all targets. Each entry is the (error, ar, ma) minimum over its
+    own budget's splits, so it equals best_order_search's report: iterative
+    splits are retired within their target's ar + ma group, which is the
+    same in every search that holds it.
     """
+    stacked = np.ndim(h_hat) == 2
     budgets = list(dict.fromkeys(budgets))
     sums = {k: {p + q for p, q in _feasible(grid, k, le_budget)} for k in budgets}
     for method in methods:
         if method not in METHODS:
             raise ParameterError(f"unknown design method {method!r}")
+    problems = [DesignProblem(grid=grid, h_hat=h, ar_order=0, ma_order=0)
+                for h in (h_hat if stacked else [h_hat])]
     totals = sorted(set().union(*sums.values()))
-    # the projector of an MA order that several splits share is built once
-    ma_orders = Counter(q for total in totals for q in range(total + 1))
-    projectors = dict.fromkeys(q + 1 for q, count in ma_orders.items() if count > 1)
-    bests = {}  # (method, ar + ma): the best finite design of that group
-    for total in totals:
-        problems = [
-            DesignProblem(grid=grid, h_hat=h_hat, ar_order=p, ma_order=total - p)
-            for p in range(total + 1)
-        ]
-        for method, scored in _group_designs(problems, methods, tau, projectors).items():
-            scored = [t for t in scored if np.isfinite(t[0])]
-            if scored:
-                bests[method, total] = min(scored, key=_rank)
-    table = {}
-    for k in budgets:
-        for method in methods:
-            found = [bests[method, s] for s in sums[k] if (method, s) in bests]
-            if not found:
-                raise InstabilityError(f"every order candidate failed for budget {k}")
-            table[method, k] = min(found, key=_rank)[3]()
-    return table
+    splits = [(p, total - p) for total in totals for p in range(total + 1)]
+    tables = []
+    for bests in _table_designs(problems, splits, methods, tau):
+        table = {}
+        for k in budgets:
+            for method in methods:
+                found = [bests[method, s] for s in sums[k] if (method, s) in bests]
+                if not found:
+                    raise InstabilityError(f"every order candidate failed for budget {k}")
+                table[method, k] = min(found, key=_rank)[3]()
+        tables.append(table)
+    return tables if stacked else tables[0]
 
 
 def _rank(scored):
@@ -685,47 +793,67 @@ def _feasible(grid: FrequencyGrid, budget: int, le_budget: bool) -> list:
     return cands
 
 
-def _group_designs(problems, methods, tau: int, projectors: dict) -> dict:
-    """{method: [(true RNMSE, ar, ma, report maker)]} over problems that share
-    ar + ma; a split whose design fails is left out. projectors is shared by
-    every problem of the search."""
-    out = {}
+def _table_designs(problems, splits, methods, tau: int) -> list:
+    """Per target problem, {(method, ar + ma): (true RNMSE, ar, ma, report
+    maker)} of the best finite design of each group of splits; a split whose
+    design fails is left out."""
+    targets = [_Target.of(problem) for problem in problems]
+    # the projector of an MA order that several splits share is built once
+    ma_orders = Counter(q for _ in problems for _, q in splits)
+    shared = [q + 1 for q, count in ma_orders.items() if count > 1]
+    columns = {}
+    for target in targets:
+        columns.setdefault(target.mode, _Columns(target.lam, shared))
+
+    def bases():  # (index, problem, basis) of every split of every target
+        for t, (problem, target) in enumerate(zip(problems, targets)):
+            for p, q in splits:
+                split = problem._at_orders(p, q)
+                yield t, split, _basis(split, p + 1, q + 1, columns[target.mode], target)
+
+    designs = [[] for _ in problems]  # per target: (error, ar, ma, method, maker)
+    fits = dict.fromkeys(methods)
     if ITERATIVE in methods:
         runs = []
-        for problem in problems:
+        for t, problem, basis in bases():
             try:
-                runs.append(_Run.start(problem, None, projectors))
+                runs.append(_Run.start(problem, None, basis, t))
             except (InstabilityError, np.linalg.LinAlgError):
                 continue
-        if runs:
-            _iterate(runs, tau)
-        out[ITERATIVE] = [
-            (run.best, *_orders(run.problem), partial(_iterative_report, run))
-            for run in runs
-            if run.error is None
-        ]
-        if PRONY_PROJECTION in methods:
-            out[PRONY_PROJECTION] = [
-                (run.history[0], *_orders(run.problem),
-                 partial(_make_report, ArmaFilter(*run.iterates[0]), run.problem,
-                         run.basis, PRONY_PROJECTION, *run.projection))
-                for run in runs
-            ]
-    for method in methods:
-        if method in out:
-            continue
-        scored = out[method] = []
-        for problem in problems:
-            basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1, projectors)
+        for mode in columns:
+            same = [run for run in runs if run.basis.target.mode == mode]
+            if same:
+                _iterate(same, tau)
+        for run in runs:
+            found = designs[run.target_index]
+            if run.error is None:
+                found.append((run.best, *_orders(run.problem), ITERATIVE,
+                              partial(_iterative_report, run)))
+            if PRONY_PROJECTION in methods:
+                found.append((run.history[0], *_orders(run.problem), PRONY_PROJECTION,
+                              partial(_make_report, ArmaFilter(*run.iterates[0]),
+                                      run.problem, run.basis, PRONY_PROJECTION,
+                                      *run.projection)))
+        fits.pop(ITERATIVE)
+        fits.pop(PRONY_PROJECTION, None)
+    for method in fits:
+        for t, problem, basis in bases():
             try:
                 a, b, residue, warnings = _FITS[method](problem, basis)
             except (InstabilityError, np.linalg.LinAlgError):
                 continue
-            filt = ArmaFilter(a=a, b=b)
-            scored.append((basis.score(a, b), *_orders(problem),
-                           partial(_make_report, filt, problem, basis, method,
-                                   residue, warnings)))
-    return out
+            designs[t].append((basis.score(a, b), *_orders(problem), method,
+                               partial(_make_report, ArmaFilter(a=a, b=b), problem, basis,
+                                       method, residue, warnings)))
+    bests = []
+    for found in designs:
+        best = {}
+        for err, p, q, method, make in found:
+            key = method, p + q
+            if np.isfinite(err) and (key not in best or (err, p, q) < _rank(best[key])):
+                best[key] = (err, p, q, make)
+        bests.append(best)
+    return bests
 
 
 def _orders(problem: DesignProblem):

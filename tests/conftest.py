@@ -246,6 +246,110 @@ def reference_iterative_design(problem, tau=50):
     )
 
 
+def reference_iterate(runs, tau):
+    """design._iterate as one pass loop per group: the runs of one target
+    (run.target_index) with one P + Q, each group on its own.
+
+    The optimized loop runs every group of a table in one loop; each run
+    must get exactly the iterates, history, warnings and solve error that
+    this loop gives it. Within a group the loop is the lockstep loop that
+    ran before the groups were fused: one stack of equal-width systems, the
+    lead run's target scoring every row, and a group of one never retiring.
+    """
+    groups = {}
+    for run in runs:
+        key = run.target_index, run.problem.ar_order + run.problem.ma_order
+        groups.setdefault(key, []).append(run)
+    for group in groups.values():
+        _reference_group_loop(group, tau)
+
+
+def _reference_group_loop(runs, tau):
+    if tau < 1:
+        raise ParameterError(f"need at least one iteration, got {tau}")
+    target = runs[0].basis.target
+    ar = [run.basis.psi_p.shape[1] - 1 for run in runs]
+    template = np.empty((len(runs), runs[0].basis.unknowns, len(target.lam)),
+                        dtype=target.h.dtype)
+    for t, p, run in zip(template, ar, runs):
+        t[:p] = run.basis.psi_p[:, 1:].T
+        np.negative(run.basis.psi_b.T, out=t[p:])
+    a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
+    a_rows = np.repeat(a_rows[:, :, None], template.shape[2], axis=2)
+    neg_h, w = -target.h, target.weights
+
+    score = target.scores
+    alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
+    beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
+    lhs, rhs = np.empty_like(template), np.empty_like(alpha)
+    lhs_t = lhs.transpose(0, 2, 1)
+    live = runs
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err_true, err_prev = score(alpha, beta)
+        for run, e in zip(runs, err_true.tolist()):
+            run.record(e)
+        for _ in range(tau):
+            n = len(live)
+            rho = design._RHO * np.abs(alpha).max(axis=1)
+            denom = alpha + rho[:, None]
+            if not denom.all():
+                zero = denom == 0.0
+                for i in zero.any(axis=1).nonzero()[0]:
+                    denom[i] = np.where(zero[i], max(rho[i], 1e-30), denom[i])
+                    live[i].warnings.add("denominator-regularized")
+            gamma = np.divide(1.0, denom, out=denom)
+            np.multiply(gamma[:, None, :], template, out=lhs[:n])
+            np.multiply(lhs[:n], target.h, out=lhs[:n], where=a_rows)
+            np.multiply(gamma, neg_h, out=rhs[:n])
+            flat_l, flat_r = lhs[:n].view(np.float64), rhs[:n].view(np.float64)
+            going = (np.isfinite(flat_l).all(axis=(1, 2))
+                     & np.isfinite(flat_r).all(axis=1)).tolist()
+            if w is not None:
+                lhs[:n] *= w
+                rhs[:n] *= w
+            for i, run in enumerate(live):
+                if not going[i]:
+                    run.warnings.add("non-finite-iterate")
+                    continue
+                try:
+                    a, b, residue, deficient = design._solve_a0(lhs_t[i], rhs[i],
+                                                                run.problem)
+                except np.linalg.LinAlgError as exc:
+                    run.error = exc
+                    going[i] = False
+                    continue
+                if deficient:
+                    run.warnings.add("rank-deficient")
+                if residue > run.max_residue:
+                    run.max_residue = residue
+                run.iterates.append((a, b))
+                np.matmul(run.basis.psi_p, a, out=alpha[i])
+                np.matmul(run.basis.psi_q, b, out=beta[i])
+            err_true, err_new = score(alpha, beta)
+            finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
+            delta = np.sqrt(design._sq_norms(err_new - err_prev, finite))
+            for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
+                if going[i]:
+                    live[i].record(e)
+                    if d < design._DELTA_C:
+                        live[i].converged = True
+                        going[i] = False
+            stale = [i for i, run in enumerate(live) if going[i]
+                     and len(run.history) - 1 - run.best_pass >= design._PATIENCE]
+            if stale and len(runs) > 1:
+                leader = min((run for run in runs if run.error is None),
+                             key=design._Run.rank)
+                for i in stale:
+                    going[i] = live[i] is leader
+            if not all(going):
+                live = [run for run, g in zip(live, going) if g]
+                if not live:
+                    break
+                template, a_rows = template[going], a_rows[going]
+                alpha, beta, err_new = alpha[going], beta[going], err_new[going]
+            err_prev = err_new
+
+
 # ---------------------------------------------------------------------------
 # Study loops that share no work: every row from the per-call public
 # functions, as the studies ran before they computed shared work once. A

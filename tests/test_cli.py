@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from graphfilt import cli
+from graphfilt import CgConfig, arma_apply_cg, cli, graph_from_json, normalize
+from graphfilt.arma import arma_from_json
 from graphfilt.errors import DivergenceError, InstabilityError
+from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
 
 def run(argv):
@@ -188,6 +190,45 @@ class TestApply:
         code = run(["apply", "--filter", str(filt), "--graph", str(er_graph_file),
                     "--input", str(xin), "-o", str(tmp_path / "y.csv")])
         assert code == cli.EXIT_DIMENSION
+
+
+    def test_unconverged_cg_warns_and_writes_its_result(self, tmp_path, capsys):
+        # the (1,2) lowpass design has a pole on the Laplacian's spectrum:
+        # plain CG on a(S) does not reach epsilon, and apply says so on stderr
+        graph, filt = tmp_path / "g.json", tmp_path / "f.json"
+        xin, out = tmp_path / "x.csv", tmp_path / "y.csv"
+        assert run(["gen-graph", "--er", "--n", "500", "--p", "0.02", "--seed", "1",
+                    "-o", str(graph)]) == 0
+        assert run(["design", "--method", "iterative", "--grid", "uniform-real",
+                    "--response", "lowpass:1.0", "--p", "1", "--q", "2",
+                    "-o", str(filt)]) == 0
+        x = np.random.default_rng(0).standard_normal(500)
+        write_signal(xin, x)
+        capsys.readouterr()
+        code = run(["apply", "--filter", str(filt), "--graph", str(graph),
+                    "--input", str(xin), "--solver", "cg", "-o", str(out)])
+        assert code == cli.EXIT_OK
+        op = normalize(graph_from_json(graph.read_text()), NORMALIZED_LAPLACIAN)
+        y, trace = arma_apply_cg(arma_from_json(filt.read_text()), op, read_signal(xin),
+                                 CgConfig())
+        assert not trace.converged
+        assert np.array_equal(read_signal(out), y)
+        lines = capsys.readouterr().err.splitlines()
+        residual = trace.residual_norms[-1] / trace.residual_norms[0]
+        assert lines == [
+            f"warning: CG did not converge in {trace.iterations} iterations: "
+            f"relative residual {residual:.3g}, epsilon 0.001"
+        ]
+
+    def test_converged_cg_is_silent(self, tmp_path, capsys, er_graph_file):
+        filt = tmp_path / "f.json"
+        filt.write_text('{"type": "arma", "a": [1.0, 0.3], "b": [0.5, 0.2]}')
+        xin = tmp_path / "x.csv"
+        write_signal(xin, np.sin(np.arange(24)))
+        assert run(["apply", "--filter", str(filt), "--graph", str(er_graph_file),
+                    "--input", str(xin), "--solver", "cg",
+                    "-o", str(tmp_path / "y.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMalformedGraph:

@@ -28,6 +28,7 @@ from graphfilt.graphs import NORMALIZED_LAPLACIAN
 from conftest import (
     random_pair_symmetric,
     random_stable_arma,
+    reference_iterate,
     reference_iterative_design,
 )
 
@@ -435,9 +436,12 @@ def retired_runs(runs, solo):
 
     Asserts that every run's history is a prefix of its solo history, and
     that a run that left early trailed its group's leader, ranked by (best
-    error so far, P, Q) among the runs without a solve error at that pass,
-    and had gone _PATIENCE passes without a new best.
+    error so far, P, Q) among the runs of its target and P + Q without a
+    solve error at that pass, and had gone _PATIENCE passes without a new best.
     """
+    def group(r):
+        return r.target_index, r.problem.ar_order + r.problem.ma_order
+
     retired = []
     for run in runs:
         if run.error is not None:
@@ -449,7 +453,8 @@ def retired_runs(runs, solo):
             continue
         assert not run.converged
         assert last - int(np.argmin(run.history)) == design._PATIENCE
-        rivals = [r for r in runs if r.error is None or len(r.history) > last]
+        rivals = [r for r in runs if group(r) == group(run)
+                  and (r.error is None or len(r.history) > last)]
         leader = min(rivals, key=lambda r: (min(r.history[:last + 1]),
                                              r.problem.ar_order, r.problem.ma_order))
         assert leader is not run
@@ -475,9 +480,10 @@ _BUDGET_19_PASSES = {"uniform-real": 457, "complex-disc": 426}
 
 
 class TestLockstepSearch:
-    """The order search runs the passes of every split with the same P + Q
-    together, and retires splits that trail; each split must get a prefix of
-    the bits it gets from iterative_design alone, and the winner all of them."""
+    """The order search runs the passes of all its splits together, and
+    retires splits that trail within their P + Q group; each split must get
+    a prefix of the bits it gets from iterative_design alone, and the winner
+    all of them."""
 
     @pytest.mark.parametrize("le_budget", [False, True])
     @pytest.mark.parametrize("budget", [5, 9])
@@ -576,6 +582,27 @@ class TestLockstepSearch:
         grid = make_grid(100)
         best_order_search(grid, ideal_lowpass(grid, 1.0), 19, "iterative")
         assert len(solves) == _BUDGET_19_PASSES[grid.kind]
+
+    def test_le_budget_search_runs_one_pass_loop(self, monkeypatch):
+        # the benchmark's --le-budget search: budget 9 on the 100-point
+        # uniform grid. One loop per P + Q group made 10 loops of 358
+        # iterations in all; the split-passes are the same 1176
+        counts = {"loops": 0, "iterations": 0, "split_passes": 0}
+        iterate, fill, solve = design._iterate, design._A0Systems.fill, design._solve_a0
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # a loop fills its stacked systems once per iteration
+        monkeypatch.setattr(design, "_iterate", counting("loops", iterate))
+        monkeypatch.setattr(design._A0Systems, "fill", counting("iterations", fill))
+        monkeypatch.setattr(design, "_solve_a0", counting("split_passes", solve))
+        grid = uniform_real_grid(100)
+        best_order_search(grid, ideal_lowpass(grid, 1.0), 9, "iterative", le_budget=True)
+        assert counts == {"loops": 1, "iterations": 50, "split_passes": 1176}
 
     def test_failing_initialization_skips_only_that_split(self, monkeypatch):
         grid = uniform_real_grid(100)
@@ -714,3 +741,168 @@ class TestSearchTable:
         grid, h = TARGETS["uniform-real"]()
         with pytest.raises(ParameterError, match="unknown design method"):
             design.order_search_table(grid, h, [3], ["iterative", "newton"])
+
+
+def spectrum_targets(trials):
+    """The compression study's search targets: the directed k-NN graph's
+    spectrum grid and the GFTs of trials smooth signals, one row each."""
+    from graphfilt.experiments import experiment_graphs, smooth_signal
+    from graphfilt.graphs import NORMALIZED_ADJACENCY
+    from graphfilt.spectral import gft
+
+    directed, _ = experiment_graphs()
+    op = normalize(directed, NORMALIZED_ADJACENCY)
+    dec = eigendecompose(op)
+    rng = np.random.default_rng(3)
+    signals = [smooth_signal(dec, op.kind, rng) for _ in range(trials)]
+    return spectrum_grid(dec), np.array([gft(dec, x) for x in signals])
+
+
+def assert_same_table(got, want):
+    """Two search tables, bit for bit: each entry's report JSON, iterates
+    and history."""
+    assert list(got) == list(want)
+    for key, rep in got.items():
+        other = want[key]
+        assert design.report_to_json(rep) == design.report_to_json(other), key
+        assert np.array_equal(rep.error_history, other.error_history)
+        assert len(rep.iterate_filters) == len(other.iterate_filters)
+        for x, y in zip(rep.iterate_filters, other.iterate_filters):
+            assert np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+
+
+def assert_same_run(got, want):
+    """Two runs of one problem, bit for bit."""
+    assert np.array_equal(got.history, want.history)
+    assert len(got.iterates) == len(want.iterates)
+    for (a, b), (c, d) in zip(got.iterates, want.iterates):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
+    assert (got.converged, got.warnings, got.max_residue, repr(got.error)) == (
+        want.converged, want.warnings, want.max_residue, repr(want.error))
+
+
+def recorded_loops(monkeypatch, loop):
+    """Route design._iterate through loop and keep the runs of each call."""
+    calls = []
+
+    def recording(runs, tau):
+        calls.append(runs)
+        return loop(runs, tau)
+
+    monkeypatch.setattr(design, "_iterate", recording)
+    return calls
+
+
+def left_early(run, tau):
+    """Whether a run was retired: it left unconverged, without a solve
+    error or a non-finite system, before its last pass."""
+    return (run.error is None and not run.converged and len(run.history) - 1 < tau
+            and "non-finite-iterate" not in run.warnings)
+
+
+class TestFusedPassLoop:
+    """order_search_table runs every split, P + Q group and target of a table
+    in one pass loop. Each table must equal, bit for bit, the table that one
+    loop per (target, P + Q) group gives (conftest.reference_iterate), and
+    the table of each target searched alone."""
+
+    def tables(self, monkeypatch, grid, targets, *args, **kwargs):
+        """(fused tables, reference tables, each target's own table), with
+        the fused call's runs."""
+        with monkeypatch.context() as m:
+            fused = recorded_loops(m, design._iterate)
+            got = design.order_search_table(grid, targets, *args, **kwargs)
+        with monkeypatch.context() as m:
+            recorded_loops(m, reference_iterate)
+            want = design.order_search_table(grid, targets, *args, **kwargs)
+        alone = [design.order_search_table(grid, h, *args, **kwargs) for h in targets]
+        assert len(got) == len(want) == len(alone) == len(targets)
+        for g, w, a in zip(got, want, alone):
+            assert_same_table(g, w)
+            assert_same_table(g, a)
+        return fused
+
+    @pytest.mark.parametrize("tau", [12, 50])
+    def test_several_targets_le_budget(self, monkeypatch, tau):
+        grid, targets = spectrum_targets(3)
+        fused = self.tables(monkeypatch, grid, targets, [4, 8], ["iterative"],
+                            le_budget=True, tau=tau)
+        assert len(fused) == 1 and len(fused[0]) == 3 * 45
+
+    @pytest.mark.parametrize("make_grid", [uniform_real_grid, complex_disc_grid])
+    def test_all_methods_in_one_table(self, monkeypatch, make_grid):
+        grid = make_grid(40)
+        targets = np.array([ideal_lowpass(grid, c) for c in (0.5, 1.0, 1.5)])
+        fused = self.tables(monkeypatch, grid, targets, [2, 5, 8], design.METHODS)
+        assert len(fused) == 1
+
+    def test_failing_split_next_to_healthy_groups(self, monkeypatch):
+        # (2, 3) of every target fails at its third pass, in the fused loop
+        # and in the reference loop alike
+        grid, targets = spectrum_targets(2)
+        solve = design._solve_a0
+        passes = {}
+
+        def failing(lhs, rhs, problem):
+            if (problem.ar_order, problem.ma_order) == (2, 3):
+                count = passes.setdefault(id(problem), [problem, 0])
+                count[1] += 1
+                if count[1] == 3:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(lhs, rhs, problem)
+
+        monkeypatch.setattr(design, "_solve_a0", failing)
+        (runs,) = self.tables(monkeypatch, grid, targets, range(7), ["iterative"],
+                              le_budget=True, tau=12)
+        failed = [run for run in runs if run.error is not None]
+        assert [(run.target_index, *design._orders(run.problem)) for run in failed] == [
+            (0, 2, 3), (1, 2, 3)]
+        assert all(len(run.history) == 3 for run in failed)
+        # fused, reference and alone: one run of the split per target each
+        assert [count for _, count in passes.values()] == [3] * 6
+
+    def test_retired_splits_in_two_groups(self, monkeypatch):
+        grid = uniform_real_grid(100)
+        targets = np.array([ideal_lowpass(grid, c) for c in (1.0, 0.8)])
+        (runs,) = self.tables(monkeypatch, grid, targets, [13, 19], ["iterative"])
+        retired = {run.group for run in runs if left_early(run, 50)}
+        assert {total for _, total in retired} == {13, 19}
+        assert {t for t, _ in retired} == {0, 1}
+
+    @pytest.mark.parametrize("make_grid, imag", [
+        (uniform_real_grid, 1e-12),  # real and complex arithmetic
+        (complex_disc_grid, 0.0),  # scored on magnitudes and not
+    ])
+    def test_targets_of_two_modes_get_a_loop_each(self, monkeypatch, make_grid, imag):
+        grid = make_grid(40)
+        h = ideal_lowpass(grid, 1.0)
+        other = h + 1j * imag if imag else random_pair_symmetric(grid, np.random.default_rng(1))
+        fused = self.tables(monkeypatch, grid, np.array([h, other, h]), [5],
+                            ["iterative"], le_budget=True)
+        assert [sorted({run.target_index for run in runs}) for runs in fused] == [
+            [0, 2], [1]]
+
+    def test_constrain_b0_zero(self):
+        # the prediction study's problem shape: weights and a pinned b0, here
+        # with the weights shared and one target per trial
+        grid, targets = spectrum_targets(3)
+        weights = np.abs(targets[0])
+
+        def runs():
+            out = []
+            for t, h in enumerate(targets):
+                for p, q in order_candidates(5, le_budget=True):
+                    problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q,
+                                            weights=weights, constrain_b0_zero=True)
+                    try:
+                        out.append(design._Run.start(problem, None, target_index=t))
+                    except InstabilityError:
+                        continue
+            return out
+
+        got, want = runs(), runs()
+        design._iterate(got, 30)
+        reference_iterate(want, 30)
+        for g, w in zip(got, want):
+            assert_same_run(g, w)
+        assert any(left_early(run, 30) for run in got)

@@ -14,7 +14,7 @@ from graphfilt import (
     rnmse,
     spectrum_grid,
 )
-from graphfilt import experiments
+from graphfilt import design, experiments
 from graphfilt.design import ideal_lowpass
 from graphfilt.experiments import (
     InterpolationTask,
@@ -282,6 +282,29 @@ class TestCompression:
         arma_err = compress(op, x, 8).rnmse
         _, _, fir_err = compress_fir(op, x, 8)
         assert arma_err < fir_err
+
+
+    def test_study_runs_one_pass_loop(self, monkeypatch):
+        # the benchmark's compression op: K = 4, 8 over 4 trials at seed 4242.
+        # Searched one target and one P + Q group at a time, it ran 36 pass
+        # loops of 383 iterations in all and validated each target once per
+        # split, 180 times; the split-passes (_solve_a0 calls) are unchanged
+        counts = {"loops": 0, "split_passes": 0, "validations": 0}
+        iterate, solve = design._iterate, design._solve_a0
+        validate = design.validate_conjugate_pairs
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(design, "_iterate", counted("loops", iterate))
+        monkeypatch.setattr(design, "_solve_a0", counted("split_passes", solve))
+        monkeypatch.setattr(design, "validate_conjugate_pairs",
+                            counted("validations", validate))
+        compression_study(k_values=(4, 8), trials=4, seed=4242)
+        assert counts == {"loops": 1, "split_passes": 1715, "validations": 4}
 
 
 class TestBudgetCandidates:
