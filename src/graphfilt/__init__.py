@@ -31,7 +31,6 @@ from .errors import (
     GraphFiltError,
     InstabilityError,
     NonDiagonalizableError,
-    NumericalFailureError,
     ParameterError,
     SingularSystemError,
     ZeroDegreeError,

@@ -238,11 +238,16 @@ def _cmd_design(args) -> int:
         if args.k is None:
             raise ParameterError("--method fir requires --k")
         design = fir_design(grid, h, args.k)
+        if "rank-deficient" in design.warnings:
+            print(f"warning: FIR fit of order {args.k} is rank-deficient: some "
+                  f"coefficients are not determined by the grid (condition estimate "
+                  f"{design.condition_estimate:.3g})", file=sys.stderr)
         text = fir_to_json(design.filter) + "\n"
         report = {
             "method": "fir", "order": args.k, "rnmse": design.rnmse,
             "imag_residue": design.imag_residue,
             "condition_estimate": design.condition_estimate,
+            "warnings": list(design.warnings),
         }
     else:
         if args.budget is not None:

@@ -1,12 +1,15 @@
 """ARMA graph filter design: Prony least squares, Prony projection, and the
 iterative true-error minimizer, plus exhaustive order search.
 
-All three methods solve their least-squares systems in real arithmetic when
-the grid frequencies and the desired response are exactly real (uniform-real
-grids, spectra of symmetric shifts), and in complex arithmetic otherwise
-(disc grids, directed spectra). The complex minimizers are real-valued
-whenever the desired response respects the grid's conjugate-pair symmetry;
-their imaginary residue is recorded and truncated.
+Every least-squares solve runs over real coefficients in real arithmetic.
+When the grid frequencies and the desired response are exactly real
+(uniform-real grids, spectra of symmetric shifts) the systems are real.
+Otherwise (disc grids, directed spectra) the design keeps one frequency per
+conjugate pair, weighted by sqrt(w_i^2 + w_j^2) for a pair (i, j): a filter
+with real coefficients has conjugate errors at the two, so this is the same
+weighted error for any non-negative weights. Each complex system is then
+solved as the real system [Re A; Im A] over the real unknowns, so nothing is
+left to truncate and DesignReport.imag_residue is always 0.0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .arma import ArmaFilter, StabilityReport, check_stability
 from .errors import InstabilityError, ParameterError
-from .fir import _LSTSQ_RCOND, _solve_real_lstsq, vandermonde
+from .fir import _LSTSQ_RCOND, _real_rows, _solve_real_lstsq, _solve_real_lstsq_stack, vandermonde
 from .spectral import COMPLEX_DISC, FrequencyGrid, validate_conjugate_pairs
 
 PRONY_LS = "prony-ls"
@@ -144,11 +147,8 @@ class DesignReport:
 
     iterate_filters keeps every iterate of the iterative method (index 0 is
     the initialization) so applications can reselect by their own metric.
-    imag_residue is the largest imaginary part truncated from a solved
-    coefficient vector. It is exactly 0.0 when the grid frequencies and the
-    desired response are real, because those designs solve in real arithmetic;
-    on complex grids it measures how far the solve strayed from real
-    coefficients.
+    imag_residue is always 0.0: every solve runs over real coefficients in
+    real arithmetic, so no imaginary part is ever truncated.
     """
 
     filter: ArmaFilter
@@ -170,9 +170,15 @@ class _Target:
     shared by the bases of all the splits designed for it.
 
     lam and h are float64 when the grid frequencies and the target are
-    exactly real, so every solve and product built on them runs in real
-    arithmetic; otherwise they are complex128. In a pass loop, h, h_norm
-    and abs_h may instead stack the targets of the loop's runs, one row each.
+    exactly real, so every product built on them runs in real arithmetic.
+    Otherwise they are complex128, and on a grid with conjugate pairs they
+    hold one frequency per pair (the indices i <= pair[i]), with weights
+    that count the pair's partner too: sqrt(w_i^2 + w_j^2) for a pair (i, j)
+    and w_i for a real frequency. For real coefficients the error at j is
+    the conjugate of the error at i, so every weighted norm, and with it
+    every least-squares solve and score, is the full grid's. In a pass loop,
+    h, h_norm and abs_h may instead stack the targets of the loop's runs,
+    one row each.
     """
 
     lam: np.ndarray
@@ -183,12 +189,23 @@ class _Target:
 
     @classmethod
     def of(cls, problem: DesignProblem) -> _Target:
-        lam, h = problem.grid.lambdas, problem.h_hat
-        if problem.grid.all_real and not np.any(h.imag):
-            lam, h = lam.real, h.real.copy()
-        w = problem.weights
+        grid, h, w = problem.grid, problem.h_hat, problem.weights
+        lam = grid.lambdas
+        if grid.all_real:
+            if not np.any(h.imag):
+                lam, h = lam.real, h.real.copy()
+        else:
+            paired = grid.pair != np.arange(grid.n)
+            sq = np.ones(grid.n) if w is None else w * w
+            sq[paired] += sq[grid.pair[paired]]
+            keep = np.arange(grid.n) <= grid.pair
+            lam, h, w = lam[keep], h[keep], np.sqrt(sq[keep])
         return cls(lam, h, w, float(np.linalg.norm(h if w is None else w * h)),
                    np.abs(h) if problem.use_amplitude_error else None)
+
+    @property
+    def weight_vector(self) -> np.ndarray:
+        return np.ones(len(self.lam)) if self.weights is None else self.weights
 
     @property
     def mode(self):
@@ -276,15 +293,17 @@ class _Basis:
         """True RNMSE of the filter with coefficients a and b."""
         return float(self.target.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
 
-    def projector(self, w) -> np.ndarray:
-        """I - W Psi_b pinv(W Psi_b) for W = diag(w): the projector onto the
-        orthogonal complement of the weighted numerator range."""
+    def projector(self) -> np.ndarray:
+        """I - R pinv(R) for R = W Psi_b, W = diag(target weights), or for
+        R = [Re W Psi_b; Im W Psi_b] when the target is complex: the
+        projector onto the orthogonal complement of the weighted numerator's
+        range over real coefficients."""
         cols = self.psi_b.shape[1]
         projectors = self.columns.projectors
         found = projectors.get(cols)
         if found is None:
-            weighted_b = w[:, None] * self.psi_b
-            found = np.eye(len(w)) - weighted_b @ np.linalg.pinv(
+            weighted_b = _real_rows(self.target.weight_vector[:, None] * self.psi_b)
+            found = np.eye(len(weighted_b)) - weighted_b @ np.linalg.pinv(
                 weighted_b, rcond=_LSTSQ_RCOND
             )
             if cols in projectors:
@@ -410,19 +429,27 @@ class _A0Systems:
 _ONE, _ZERO = np.ones(1), np.zeros(1)
 
 
-def _solve_a0(lhs, rhs, problem: DesignProblem):
-    """Least squares over one filled and weighted a0 = 1 system.
+def _solve_a0(lhs, rhs, problems) -> list:
+    """Least squares over a stack of filled and weighted a0 = 1 systems
+    with one unknown count, one per problem, in one LAPACK call.
 
-    Returns (a, b, imag residue before truncation, rank_deficient).
+    Returns per system (a, b, rank_deficient), or the LinAlgError its solve
+    raised.
     """
-    theta, residue, rank = _solve_real_lstsq(lhs, rhs)
-    p = problem.ar_order
-    a = np.concatenate((_ONE, theta[:p]))
-    b = np.concatenate((_ZERO, theta[p:])) if problem.constrain_b0_zero else theta[p:]
-    return a, b, residue, rank < lhs.shape[1]
+    out = []
+    for found, problem in zip(_solve_real_lstsq_stack(lhs, rhs), problems):
+        if isinstance(found, np.linalg.LinAlgError):
+            out.append(found)
+            continue
+        theta, rank = found
+        p = problem.ar_order
+        a = np.concatenate((_ONE, theta[:p]))
+        b = np.concatenate((_ZERO, theta[p:])) if problem.constrain_b0_zero else theta[p:]
+        out.append((a, b, rank < lhs.shape[-1]))
+    return out
 
 
-def _make_report(filt, problem, basis, method, residue, warnings,
+def _make_report(filt, problem, basis, method, warnings,
                  iterations=0, history=None, converged=True, iterates=()):
     err_true = basis.score(filt.a, filt.b)
     return DesignReport(
@@ -434,7 +461,7 @@ def _make_report(filt, problem, basis, method, residue, warnings,
         converged=converged,
         stability=check_stability(filt, problem.grid),
         method=method,
-        imag_residue=residue,
+        imag_residue=0.0,
         warnings=tuple(warnings),
         iterate_filters=tuple(iterates),
     )
@@ -457,28 +484,31 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
 
 def _fit_report(method: str, problem: DesignProblem) -> DesignReport:
     basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    a, b, residue, warnings = _FITS[method](problem, basis)
-    return _make_report(ArmaFilter(a=a, b=b), problem, basis, method, residue, warnings)
+    a, b, warnings = _FITS[method](problem, basis)
+    return _make_report(ArmaFilter(a=a, b=b), problem, basis, method, warnings)
 
 
 def _ls_fit(problem: DesignProblem, basis: _Basis):
-    """The coefficients of prony_ls: (a, b, imag residue, warnings)."""
+    """The coefficients of prony_ls: (a, b, warnings)."""
     systems = _A0Systems.build([basis])
     lhs = np.empty_like(systems.template)
-    rhs = np.empty((1, problem.grid.n), dtype=basis.target.h.dtype)
-    systems.fill(lhs, rhs, np.ones((1, problem.grid.n)))
+    rhs = np.empty((1, len(basis.target.lam)), dtype=basis.target.h.dtype)
+    systems.fill(lhs, rhs, np.ones(rhs.shape))
     systems.weigh(lhs, rhs)
-    a, b, residue, deficient = _solve_a0(lhs[0].T, rhs[0], problem)
-    return a, b, residue, ["rank-deficient"] if deficient else []
+    (found,) = _solve_a0(lhs.transpose(0, 2, 1), rhs, [problem])
+    if isinstance(found, np.linalg.LinAlgError):
+        raise found
+    a, b, deficient = found
+    return a, b, ["rank-deficient"] if deficient else []
 
 
 def _projection_fit(problem: DesignProblem, basis: _Basis):
-    """The coefficients of prony_projection: (a, b, imag residue, warnings)."""
-    w = problem.weight_vector
+    """The coefficients of prony_projection: (a, b, warnings)."""
+    w = basis.target.weight_vector
     psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.target.h
 
-    block_a = basis.projector(w) @ (w[:, None] * (psi_p * h[:, None]))
-    theta, residue_a, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
+    block_a = basis.projector() @ _real_rows(w[:, None] * (psi_p * h[:, None]))
+    theta, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
     a = np.concatenate([[1.0], theta])
     warnings = ["rank-deficient"] if rank < block_a.shape[1] - 1 else []
     alpha = psi_p @ a
@@ -488,9 +518,9 @@ def _projection_fit(problem: DesignProblem, basis: _Basis):
         warnings.append("denominator-regularized")
     gamma = 1.0 / alpha
     b_lhs = w[:, None] * (gamma[:, None] * psi_b)
-    b_tail, residue_b, _ = _solve_real_lstsq(b_lhs, w * h)
+    b_tail, _ = _solve_real_lstsq(b_lhs, w * h)
     b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
-    return a, b, max(residue_a, residue_b), warnings
+    return a, b, warnings
 
 
 # The one-shot least-squares designs, by method.
@@ -507,11 +537,10 @@ class _Run:
     basis: _Basis
     iterates: list
     history: list
-    max_residue: float
     converged: bool
     warnings: set
     error: np.linalg.LinAlgError | None  # raised by a solve; ends the run
-    projection: tuple | None  # (imag residue, warnings) of a prony_projection init
+    projection: list | None  # the warnings of a prony_projection init
     target_index: int = 0
     best: float = math.inf
     best_pass: int = 0
@@ -524,9 +553,9 @@ class _Run:
             basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
         projection = None
         if init is None:
-            a, b, residue, warnings = _projection_fit(problem, basis)
-            init, projection = ArmaFilter(a=a, b=b), (residue, warnings)
-        return cls(problem, basis, [(init.a, init.b)], [], 0.0, False, set(), None,
+            a, b, projection = _projection_fit(problem, basis)
+            init = ArmaFilter(a=a, b=b)
+        return cls(problem, basis, [(init.a, init.b)], [], False, set(), None,
                    projection, target_index)
 
     def record(self, error: float) -> None:
@@ -564,9 +593,10 @@ def _iterate(runs, tau: int) -> None:
 
     The weights, the system fill, the finite checks, the scores and the
     error-vector changes run once per pass, on stacked arrays with one row
-    per live run. The least-squares solve, the products alpha = Psi_P a and
-    beta = Psi_Q b and the norms' dot products run per run, so each run gets
-    the bits it would get alone.
+    per live run. The live runs that share an unknown count are solved in
+    one LAPACK call (_solve_a0), which gives each system the bits it gets
+    alone. The products alpha = Psi_P a and beta = Psi_Q b and the norms'
+    dot products run per run, so each run gets the bits it would get alone.
     """
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
@@ -577,13 +607,7 @@ def _iterate(runs, tau: int) -> None:
     alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
     beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
     lhs, rhs = np.empty_like(systems.template), np.empty_like(alpha)
-    lhs_t = lhs.transpose(0, 2, 1)
     live = runs  # the runs still iterating, one per row of the stacks
-
-    def matrices():  # the system matrix of each live row, as its solve reads it
-        return [lhs_t[i, :, :run.basis.unknowns] for i, run in enumerate(live)]
-
-    system = matrices()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         err_true, err_prev = systems.target.scores(alpha, beta)
         for run, e in zip(runs, err_true.tolist()):
@@ -600,23 +624,27 @@ def _iterate(runs, tau: int) -> None:
             systems.fill(lhs[:n], rhs[:n], np.divide(1.0, denom, out=denom))
             going = systems.finite(lhs[:n], rhs[:n])
             systems.weigh(lhs[:n], rhs[:n])
+            by_unknowns = {}
             for i, run in enumerate(live):
-                if not going[i]:
+                if going[i]:
+                    by_unknowns.setdefault(run.basis.unknowns, []).append(i)
+                else:
                     run.warnings.add("non-finite-iterate")
-                    continue
-                try:
-                    a, b, residue, deficient = _solve_a0(system[i], rhs[i], run.problem)
-                except np.linalg.LinAlgError as exc:
-                    run.error = exc
-                    going[i] = False
-                    continue
-                if deficient:
-                    run.warnings.add("rank-deficient")
-                if residue > run.max_residue:
-                    run.max_residue = residue
-                run.iterates.append((a, b))
-                np.matmul(run.basis.psi_p, a, out=alpha[i])
-                np.matmul(run.basis.psi_q, b, out=beta[i])
+            for k, rows in by_unknowns.items():
+                found = _solve_a0(lhs[rows, :k].transpose(0, 2, 1), rhs[rows],
+                                  [live[i].problem for i in rows])
+                for i, solved in zip(rows, found):
+                    run = live[i]
+                    if isinstance(solved, np.linalg.LinAlgError):
+                        run.error = solved
+                        going[i] = False
+                        continue
+                    a, b, deficient = solved
+                    if deficient:
+                        run.warnings.add("rank-deficient")
+                    run.iterates.append((a, b))
+                    np.matmul(run.basis.psi_p, a, out=alpha[i])
+                    np.matmul(run.basis.psi_q, b, out=beta[i])
             err_true, err_new = systems.target.scores(alpha, beta)
             finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
             delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
@@ -639,7 +667,6 @@ def _iterate(runs, tau: int) -> None:
                     break
                 systems = systems.keep(going)
                 alpha, beta, err_new = alpha[going], beta[going], err_new[going]
-                system = matrices()
             err_prev = err_new
 
 
@@ -651,8 +678,7 @@ def _iterative_report(run: _Run) -> DesignReport:
         )
     iterates = [ArmaFilter(a=a, b=b) for a, b in run.iterates]
     return _make_report(
-        iterates[run.best_pass], run.problem, run.basis, ITERATIVE,
-        run.max_residue, sorted(run.warnings),
+        iterates[run.best_pass], run.problem, run.basis, ITERATIVE, sorted(run.warnings),
         iterations=len(run.history) - 1,
         history=run.history,
         converged=run.converged,
@@ -833,18 +859,18 @@ def _table_designs(problems, splits, methods, tau: int) -> list:
                 found.append((run.history[0], *_orders(run.problem), PRONY_PROJECTION,
                               partial(_make_report, ArmaFilter(*run.iterates[0]),
                                       run.problem, run.basis, PRONY_PROJECTION,
-                                      *run.projection)))
+                                      run.projection)))
         fits.pop(ITERATIVE)
         fits.pop(PRONY_PROJECTION, None)
     for method in fits:
         for t, problem, basis in bases():
             try:
-                a, b, residue, warnings = _FITS[method](problem, basis)
+                a, b, warnings = _FITS[method](problem, basis)
             except (InstabilityError, np.linalg.LinAlgError):
                 continue
             designs[t].append((basis.score(a, b), *_orders(problem), method,
                                partial(_make_report, ArmaFilter(a=a, b=b), problem, basis,
-                                       method, residue, warnings)))
+                                       method, warnings)))
     bests = []
     for found in designs:
         best = {}

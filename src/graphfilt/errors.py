@@ -66,7 +66,3 @@ class DivergenceError(GraphFiltError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class NumericalFailureError(GraphFiltError):
-    """Numerical result violates a guaranteed property beyond tolerance."""

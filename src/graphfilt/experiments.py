@@ -401,13 +401,8 @@ def _compression(dec, grid, x, report: DesignReport) -> CompressionResult:
 
 
 def compress_fir(op: ShiftOperator, x, order: int):
-    """FIR benchmark for compression: fit the spectrum with a polynomial.
-
-    Solved over real coefficients directly (stacked real and imaginary
-    parts): spectrum grids at compression-scale orders are so ill
-    conditioned that the complex least-squares solution carries spurious
-    imaginary noise, while the real-stacked formulation stays exact.
-    """
+    """FIR benchmark for compression: fit the spectrum with a polynomial
+    over real coefficients."""
     x = np.asarray(x, dtype=float)
     dec = eigendecompose(op)
     return _fir_compression(dec, spectrum_grid(dec), x, order)
@@ -415,10 +410,7 @@ def compress_fir(op: ShiftOperator, x, order: int):
 
 def _fir_compression(dec, grid, x, order: int):
     x_hat = gft(dec, x)
-    psi = vandermonde(grid.lambdas, order + 1)
-    stacked = np.vstack([psi.real, psi.imag])
-    rhs = np.concatenate([x_hat.real, x_hat.imag])
-    g, _, _ = _solve_real_lstsq(stacked, rhs)
+    g, _ = _solve_real_lstsq(vandermonde(grid.lambdas, order + 1), x_hat)
     filt = FirFilter(g=g)
     x_tilde = igft(dec, fir_response(filt, grid)).real
     return filt, x_tilde, rnmse(x_tilde, x)

@@ -1,9 +1,10 @@
 """FIR graph filter design by least squares on a frequency grid, and the
 monomial basis every filter in the package is built on.
 
-The design solves g = pinv(Psi) h for the Vandermonde matrix Psi of the
-grid frequencies; conjugate-pair symmetry of the desired response makes the
-solution real-valued up to floating-point residue.
+The design solves min ||Psi g - h|| over real coefficients g for the
+Vandermonde matrix Psi of the grid frequencies, in real arithmetic:
+`_solve_real_lstsq` turns a complex system into the real system
+[Re Psi; Im Psi] g = [Re h; Im h], so no imaginary part is ever truncated.
 
 `vandermonde` (a polynomial on a frequency grid) and `poly_apply` (a
 polynomial in the shift applied to signals) are the only places that know
@@ -17,13 +18,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import CsvParseError, DimensionError, NumericalFailureError, ParameterError
+from .errors import CsvParseError, DimensionError, ParameterError
 from .graphs import ShiftOperator, shift_apply, shift_apply_transpose
 from .spectral import FrequencyGrid, validate_conjugate_pairs
 
 _LSTSQ_RCOND = 1e-12
-_IMAG_TRUNCATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,16 @@ class FirFilter:
 
 @dataclass(frozen=True)
 class FirDesign:
+    """A FIR fit. imag_residue is always 0.0: the coefficients are solved
+    over the reals. warnings holds "rank-deficient" when the least-squares
+    rank falls below the order + 1 coefficients, which leaves some of them
+    at the minimum-norm value instead of fitting the response."""
+
     filter: FirFilter
     rnmse: float
     imag_residue: float
     condition_estimate: float
+    warnings: tuple = ()
 
 
 def vandermonde(lambdas: np.ndarray, cols: int) -> np.ndarray:
@@ -89,19 +96,74 @@ def _poly_sum(coeffs, powers) -> np.ndarray:
     return out
 
 
-def _solve_real_lstsq(matrix, rhs):
-    """Least squares whose minimizer is real: the package's one lstsq call.
+def _raise_lstsq_error(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
-    Complex systems are real under pair symmetry up to a residue, which is
-    truncated. Returns (solution, max imaginary residue before truncation,
-    rank); a system with no columns gives an empty solution of rank 0.
+
+def _gelsd(matrices, rhs):
+    """LAPACK gelsd over a stack of real systems of one shape, in one call of
+    the gufunc that np.linalg.lstsq wraps, called as numpy 2's lstsq calls
+    it: each system gets the bits np.linalg.lstsq(matrix, rhs,
+    rcond=_LSTSQ_RCOND) gives it alone. Raises LinAlgError when the SVD of
+    any system fails. Returns (solutions, ranks).
     """
-    if matrix.shape[1] == 0:
-        return np.zeros(0), 0.0, 0
-    theta, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=_LSTSQ_RCOND)
-    if theta.dtype.kind == "c":
-        return theta.real, float(abs(theta.imag).max()), int(rank)
-    return theta, 0.0, int(rank)
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        theta, _, rank, _ = _umath_linalg.lstsq(matrices, rhs[..., None], _LSTSQ_RCOND,
+                                                signature="ddd->ddid")
+    return theta[..., 0], rank
+
+
+def _real_rows(x, axis=0):
+    """[Re x; Im x] along axis for a complex array; a real array as it is."""
+    if x.dtype.kind != "c":
+        return x
+    return np.concatenate((x.real, x.imag), axis=axis)
+
+
+def _solve_real_lstsq_stack(matrices, rhs) -> list:
+    """Least squares over real unknowns for a stack of systems of one shape.
+
+    A complex stack, whose right sides must be complex too, is solved as the
+    real systems [Re A; Im A] theta = [Re b; Im b], which is exact: the
+    complex residual's squared norm is the sum of its real and imaginary
+    parts' squared norms. Spectrum grids at compression-scale orders are so
+    ill conditioned that a complex solve carries spurious imaginary parts,
+    which the real formulation never creates. The systems are solved in one
+    LAPACK call. Returns one (solution, rank) per system, or the LinAlgError
+    its solve raised; a system with no columns gives an empty solution of
+    rank 0.
+    """
+    if matrices.dtype.kind == "c":
+        # stacked along the rows of each system's transpose, which leaves
+        # every system in column-major order, as LAPACK reads it
+        matrices = _real_rows(matrices.swapaxes(-1, -2), -1).swapaxes(-1, -2)
+        rhs = _real_rows(rhs, -1)
+    if matrices.shape[-1] == 0:
+        return [(np.zeros(0), 0)] * len(matrices)
+    try:
+        theta, rank = _gelsd(matrices, rhs)
+    except LinAlgError:  # solve one by one to find the systems that fail
+        out = []
+        for a, b in zip(matrices, rhs):
+            try:
+                theta, rank = _gelsd(a[None], b[None])
+            except LinAlgError as exc:
+                out.append(exc)
+            else:
+                out.append((theta[0].copy(), int(rank[0])))
+        return out
+    # a fresh array per solution, as np.linalg.lstsq returns
+    return [(t.copy(), r) for t, r in zip(theta, rank.tolist())]
+
+
+def _solve_real_lstsq(matrix, rhs):
+    """_solve_real_lstsq_stack for one system: (solution, rank), raising
+    LinAlgError when its SVD fails."""
+    found = _solve_real_lstsq_stack(matrix[None], rhs[None])[0]
+    if isinstance(found, LinAlgError):
+        raise found
+    return found
 
 
 def fir_design(
@@ -109,11 +171,12 @@ def fir_design(
     h_hat,
     order: int,
 ) -> FirDesign:
-    """Fit FIR coefficients to a desired response by least squares.
+    """Fit FIR coefficients to a desired response by least squares over the
+    reals.
 
-    The response must satisfy the grid's conjugate-pair symmetry; the
-    resulting coefficients are real up to numerical residue, which is
-    truncated when below tolerance and rejected above it.
+    The response must satisfy the grid's conjugate-pair symmetry. A fit
+    whose least-squares rank is below order + 1 carries the
+    "rank-deficient" warning.
     """
     if order < 0:
         raise ParameterError(f"order must be non-negative, got {order}")
@@ -122,11 +185,7 @@ def fir_design(
     if grid.n < order + 1:
         raise ParameterError(f"need at least {order + 1} grid points, got {grid.n}")
     psi = vandermonde(grid.lambdas, order + 1)
-    g, residue, _ = _solve_real_lstsq(psi, h)
-    if residue > _IMAG_TRUNCATE_TOL:
-        raise NumericalFailureError(
-            f"imaginary residue {residue:.3e} exceeds {_IMAG_TRUNCATE_TOL:.0e}"
-        )
+    g, rank = _solve_real_lstsq(psi, h)
     filt = FirFilter(g=g)
     fitted = psi @ filt.g
     rnmse = float(np.linalg.norm(h - fitted) / np.linalg.norm(h)) if np.any(h) else float(
@@ -135,8 +194,9 @@ def fir_design(
     return FirDesign(
         filter=filt,
         rnmse=rnmse,
-        imag_residue=residue,
+        imag_residue=0.0,
         condition_estimate=float(np.linalg.cond(psi)),
+        warnings=("rank-deficient",) if rank < order + 1 else (),
     )
 
 

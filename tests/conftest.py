@@ -144,14 +144,80 @@ def er_laplacian():
     return op, eigendecompose(op)
 
 
+def pair_symmetric_weights(grid):
+    """Weights from 0.5 to 2 along the grid, averaged over each conjugate
+    pair so that both members of a pair weigh the same."""
+    w = np.linspace(0.5, 2.0, grid.n)
+    return (w + w[grid.pair]) / 2.0
+
+
+def real_lstsq(matrix, rhs):
+    """Least squares over real unknowns of a complex system, solved directly
+    as the real system [Re A; Im A] theta = [Re b; Im b]: (theta, rank)."""
+    stacked = np.vstack([matrix.real, matrix.imag])
+    theta, _, rank, _ = np.linalg.lstsq(stacked, np.concatenate([rhs.real, rhs.imag]),
+                                        rcond=1e-12)
+    return theta, rank
+
+
+def reference_a0_solve(problem, a_prev):
+    """The pass of the iterative design that follows the denominator a_prev,
+    on the full grid: the real-constrained least squares of the weighted
+    a0 = 1 system, solved directly over [Re; Im]. Returns (a, b)."""
+    lam, h, w = problem.grid.lambdas, problem.h_hat, problem.weight_vector
+    p, q = problem.ar_order, problem.ma_order
+    psi_p = lam[:, None] ** np.arange(p + 1)[None, :]
+    psi_b = lam[:, None] ** np.arange(int(problem.constrain_b0_zero), q + 1)[None, :]
+    alpha = psi_p @ a_prev
+    gamma = 1.0 / (alpha + 1e-8 * np.max(np.abs(alpha)))
+    lhs = w[:, None] * np.hstack([(gamma * h)[:, None] * psi_p[:, 1:],
+                                  -gamma[:, None] * psi_b])
+    theta, _ = real_lstsq(lhs, -w * gamma * h)
+    b = theta[p:]
+    if problem.constrain_b0_zero:
+        b = np.concatenate([[0.0], b])
+    return np.concatenate([[1.0], theta[:p]]), b
+
+
+def reference_projection_init(problem):
+    """The prony_projection design in complex arithmetic on the full grid,
+    with the imaginary parts of the solves truncated: the initialization of
+    reference_iterative_design."""
+    w = problem.weight_vector
+    h = problem.h_hat
+    psi_p = problem.grid.lambdas[:, None] ** np.arange(problem.ar_order + 1)[None, :]
+    psi_b = problem.grid.lambdas[:, None] ** np.arange(problem.ma_order + 1)[None, :]
+    if problem.constrain_b0_zero:
+        psi_b = psi_b[:, 1:]
+    weighted_b = w[:, None] * psi_b
+    projector = np.eye(problem.grid.n) - weighted_b @ np.linalg.pinv(weighted_b, rcond=1e-12)
+    block_a = projector @ (w[:, None] * (psi_p * h[:, None]))
+    theta = np.linalg.lstsq(block_a[:, 1:], -block_a[:, 0], rcond=1e-12)[0]
+    a = np.concatenate([[1.0], theta.real])
+    alpha = psi_p @ a
+    if np.any(np.abs(alpha) <= 1e-12 * max(float(np.max(np.abs(alpha))), 1e-30)):
+        alpha = alpha + 1e-8 * float(np.max(np.abs(alpha)))
+    b_lhs = w[:, None] * (psi_b / alpha[:, None])
+    if b_lhs.shape[1]:
+        b = np.linalg.lstsq(b_lhs, w * h, rcond=1e-12)[0].real
+    else:
+        b = np.zeros(0)
+    if problem.constrain_b0_zero:
+        b = np.concatenate([[0.0], b])
+    return ArmaFilter(a=a, b=b)
+
+
 def reference_iterative_design(problem, tau=50):
-    """The iterative design pass loop in complex arithmetic, evaluated naively.
+    """The iterative design pass loop in complex arithmetic on the full grid,
+    evaluated naively, with the imaginary parts of the solves truncated.
 
     Every pass rebuilds the response for the true error and again for the
     error vector, multiplies by explicit unit weights and stacks the system
-    with hstack. The optimized loop must match it exactly on complex grids.
+    with hstack. This is how the design ran before it solved over real
+    coefficients on one frequency per conjugate pair; with pair-symmetric
+    weights the two agree to rounding.
     """
-    init = design.prony_projection(problem).filter
+    init = reference_projection_init(problem)
     w = problem.weight_vector
     h = problem.h_hat
     psi_p = problem.grid.lambdas[:, None] ** np.arange(problem.ar_order + 1)[None, :]
@@ -269,6 +335,7 @@ def _reference_group_loop(runs, tau):
         raise ParameterError(f"need at least one iteration, got {tau}")
     target = runs[0].basis.target
     ar = [run.basis.psi_p.shape[1] - 1 for run in runs]
+    k = runs[0].basis.unknowns
     template = np.empty((len(runs), runs[0].basis.unknowns, len(target.lam)),
                         dtype=target.h.dtype)
     for t, p, run in zip(template, ar, runs):
@@ -311,17 +378,15 @@ def _reference_group_loop(runs, tau):
                 if not going[i]:
                     run.warnings.add("non-finite-iterate")
                     continue
-                try:
-                    a, b, residue, deficient = design._solve_a0(lhs_t[i], rhs[i],
-                                                                run.problem)
-                except np.linalg.LinAlgError as exc:
-                    run.error = exc
+                (solved,) = design._solve_a0(lhs_t[i:i + 1, :, :k], rhs[i:i + 1],
+                                             [run.problem])
+                if isinstance(solved, np.linalg.LinAlgError):
+                    run.error = solved
                     going[i] = False
                     continue
+                a, b, deficient = solved
                 if deficient:
                     run.warnings.add("rank-deficient")
-                if residue > run.max_residue:
-                    run.max_residue = residue
                 run.iterates.append((a, b))
                 np.matmul(run.basis.psi_p, a, out=alpha[i])
                 np.matmul(run.basis.psi_q, b, out=beta[i])

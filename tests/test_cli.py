@@ -100,6 +100,24 @@ class TestDesign:
         assert payload["type"] == "fir" and len(payload["g"]) == 7
         assert "rnmse" in json.loads(report.read_text())
 
+    @pytest.mark.parametrize("k, warned", [(48, True), (8, False)])
+    def test_rank_deficient_fir_warns(self, tmp_path, capsys, k, warned):
+        # the K = 48 fit still writes its filter and exits 0, but says on
+        # stderr and in the report that the fit is rank-deficient
+        out, report = tmp_path / "f.json", tmp_path / "r.json"
+        code = run(["design", "--method", "fir", "--grid", "uniform-real",
+                    "--response", "lowpass:1.0", "--k", str(k),
+                    "-o", str(out), "--report", str(report)])
+        assert code == cli.EXIT_OK
+        assert len(json.loads(out.read_text())["g"]) == k + 1
+        lines = capsys.readouterr().err.splitlines()
+        rep = json.loads(report.read_text())
+        if warned:
+            assert rep["warnings"] == ["rank-deficient"]
+            assert len(lines) == 1 and lines[0].startswith("warning: FIR fit of order 48 ")
+        else:
+            assert rep["warnings"] == [] and lines == []
+
     def test_iterative_budget_search(self, tmp_path):
         out = tmp_path / "f.json"
         report = tmp_path / "r.json"

@@ -27,6 +27,8 @@ from graphfilt.graphs import (
     build_knn_directed,
 )
 
+from graphfilt.fir import _LSTSQ_RCOND, _solve_real_lstsq_stack
+
 from conftest import random_pair_symmetric
 
 
@@ -105,7 +107,75 @@ class TestFirDesign:
         for _ in range(20):
             h = random_pair_symmetric(grid, rng)
             design = fir_design(grid, h, int(rng.integers(1, 9)))
-            assert design.imag_residue <= 1e-8
+            assert design.imag_residue == 0.0
+
+    def test_rank_deficient_fit_warns(self):
+        # at K = 48 the monomial columns on [0, 2] fall below the lstsq
+        # cutoff and the fitted response is about 0
+        grid = uniform_real_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        deficient = fir_design(grid, h, 48)
+        assert deficient.warnings == ("rank-deficient",)
+        assert deficient.rnmse > 0.9
+        assert fir_design(grid, h, 8).warnings == ()
+
+
+def stacked_systems(rng, n, k, count):
+    """count random n x k systems, as a C-ordered stack and as the
+    column-major views the pass loop hands over; system 1 has a repeated
+    column and system 2 a zero column."""
+    a = rng.standard_normal((count, n, k))
+    if k > 1:
+        a[1, :, -1] = a[1, :, 0]
+    a[2, :, k // 2] = 0.0
+    return a, np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+class TestStackedSolve:
+    """_solve_real_lstsq_stack solves a stack of systems in one LAPACK call;
+    each system must get the bits np.linalg.lstsq gives it alone."""
+
+    @pytest.mark.parametrize("n", [32, 64, 100])
+    def test_each_system_gets_the_lstsq_bits(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, 21):
+            rhs = rng.standard_normal((4, n))
+            for a in stacked_systems(rng, n, k, 4):
+                found = _solve_real_lstsq_stack(a, rhs)
+                for i, (theta, rank) in enumerate(found):
+                    want, _, want_rank, _ = np.linalg.lstsq(a[i], rhs[i], rcond=_LSTSQ_RCOND)
+                    assert np.array_equal(theta, want)
+                    assert rank == want_rank
+                ranks = [rank for _, rank in found]
+                assert ranks[0] == ranks[3] == k
+                assert ranks[2] == k - 1
+                assert k == 1 or ranks[1] == k - 1
+
+    def test_complex_systems_solve_as_real_and_imaginary_rows(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 30, 6)) + 1j * rng.standard_normal((3, 30, 6))
+        rhs = rng.standard_normal((3, 30)) + 1j * rng.standard_normal((3, 30))
+        for (theta, rank), m, r in zip(_solve_real_lstsq_stack(a, rhs), a, rhs):
+            want, _, want_rank, _ = np.linalg.lstsq(
+                np.vstack([m.real, m.imag]), np.concatenate([r.real, r.imag]),
+                rcond=_LSTSQ_RCOND)
+            assert theta.dtype == np.float64
+            assert np.array_equal(theta, want) and rank == want_rank
+
+    def test_failing_system_fails_alone(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 20, 4))
+        rhs = rng.standard_normal((3, 20))
+        a[1, 3, 2] = np.nan  # LAPACK rejects it: the SVD does not converge
+        found = _solve_real_lstsq_stack(a, rhs)
+        assert isinstance(found[1], np.linalg.LinAlgError)
+        for i in (0, 2):
+            want = np.linalg.lstsq(a[i], rhs[i], rcond=_LSTSQ_RCOND)[0]
+            assert np.array_equal(found[i][0], want)
+
+    def test_systems_without_unknowns(self):
+        found = _solve_real_lstsq_stack(np.zeros((2, 5, 0)), np.ones((2, 5)))
+        assert [(theta.shape, rank) for theta, rank in found] == [((0,), 0)] * 2
 
 
 class TestFirResponse:

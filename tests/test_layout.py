@@ -4,7 +4,9 @@ least-squares solve stay where they belong.
 `fir.py` is the only module that builds a Vandermonde matrix, only the
 eigendecomposition may densify a shift operator (everything else applies it
 through sparse shift products; the dense oracles live in the tests), and
-`fir._solve_real_lstsq` is the one caller of `np.linalg.lstsq`.
+`fir._gelsd`, under `fir._solve_real_lstsq` and its stacked form, is the
+one caller of lstsq: the gelsd gufunc of numpy's private `_umath_linalg`,
+which no other module names.
 """
 
 import ast
@@ -13,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphfilt"
 DENSE_ALLOWED = {"spectral.eigendecompose"}
-LSTSQ_ALLOWED = {"fir._solve_real_lstsq"}
+LSTSQ_ALLOWED = {"fir._gelsd"}
 
 
 def sources():
@@ -73,3 +75,8 @@ def test_dense_operator_only_in_oracles_and_eigendecomposition():
 
 def test_lstsq_called_only_by_the_real_solve():
     assert callers("lstsq") == sorted(LSTSQ_ALLOWED), "solve with fir._solve_real_lstsq"
+
+
+def test_private_linalg_named_only_in_fir():
+    sites = [path.name for path in sources() if "_umath_linalg" in path.read_text()]
+    assert sites == ["fir.py"], f"_umath_linalg named in {sites}; solve through fir"
