@@ -65,6 +65,7 @@ from .spectral import (
     SpectralDecomposition,
     complex_disc_grid,
     eigendecompose,
+    eigenvalues,
     gft,
     igft,
     order_frequencies,

@@ -51,7 +51,7 @@ from .graphs import (
 )
 from .spectral import (
     complex_disc_grid,
-    eigendecompose,
+    eigenvalues,
     spectrum_grid,
     uniform_real_grid,
     validate_conjugate_pairs,
@@ -64,6 +64,16 @@ EXIT_DIMENSION = 3
 EXIT_INSTABILITY = 4
 EXIT_DIVERGENCE = 5
 EXIT_SYMMETRY = 6
+
+# the exit code of each error a command may raise; the first match wins
+_EXIT_CODES = (
+    (ConjugateSymmetryError, EXIT_SYMMETRY),
+    ((argparse.ArgumentError, CsvParseError, ParameterError), EXIT_PARSE),
+    (DimensionError, EXIT_DIMENSION),
+    (InstabilityError, EXIT_INSTABILITY),
+    (DivergenceError, EXIT_DIVERGENCE),
+    ((GraphFiltError, OSError), EXIT_ERROR),
+)
 
 _SHIFT_KINDS = {"adjacency": NORMALIZED_ADJACENCY, "laplacian": NORMALIZED_LAPLACIAN}
 
@@ -168,8 +178,7 @@ def _resolve_grid(args):
     if args.grid == "graph-spectrum":
         if not args.graph:
             raise ParameterError("--grid graph-spectrum requires --graph")
-        op = _load_operator(args)
-        return spectrum_grid(eigendecompose(op))
+        return spectrum_grid(eigenvalues(_load_operator(args)))
     raise ParameterError(f"unknown grid {args.grid!r}")
 
 
@@ -418,24 +427,9 @@ def main(argv=None) -> int:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConjugateSymmetryError as exc:
+    except (argparse.ArgumentError, GraphFiltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYMMETRY
-    except (argparse.ArgumentError, CsvParseError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except InstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (GraphFiltError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

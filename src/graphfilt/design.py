@@ -17,8 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
-from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -256,16 +255,14 @@ class _Target:
 
 
 class _Columns:
-    """Vandermonde columns and numerator projectors on one grid, built once
+    """Vandermonde columns and numerator range bases on one grid, built once
     for every design of a search table that shares the arithmetic, the
     weights and the b0 pin."""
 
-    def __init__(self, lam, shared_projectors=()):
+    def __init__(self, lam):
         self.lam = lam
         self.powers = {}  # Vandermonde matrices by column count
-        # numerator-complement projectors by column count of psi_b; only the
-        # counts present as keys are kept
-        self.projectors = dict.fromkeys(shared_projectors)
+        self.ranges = {}  # orthonormal bases of range(R) by column count of psi_b
 
     def vandermonde(self, cols: int) -> np.ndarray:
         found = self.powers.get(cols)
@@ -293,36 +290,26 @@ class _Basis:
         """True RNMSE of the filter with coefficients a and b."""
         return float(self.target.scores((self.psi_p @ a)[None], (self.psi_q @ b)[None])[0][0])
 
-    def projector(self) -> np.ndarray:
-        """I - R pinv(R) for R = W Psi_b, W = diag(target weights), or for
-        R = [Re W Psi_b; Im W Psi_b] when the target is complex: the
-        projector onto the orthogonal complement of the weighted numerator's
-        range over real coefficients."""
+    def project(self, block) -> np.ndarray:
+        """(I - R R^+) block as block - U (U^T block), for R = W Psi_b with
+        W = diag(target weights), or [Re W Psi_b; Im W Psi_b] on a complex
+        target. U holds R's left singular vectors whose singular values exceed
+        _LSTSQ_RCOND times the largest, the cutoff of R^+ in lstsq."""
         cols = self.psi_b.shape[1]
-        projectors = self.columns.projectors
-        found = projectors.get(cols)
-        if found is None:
-            weighted_b = _real_rows(self.target.weight_vector[:, None] * self.psi_b)
-            found = np.eye(len(weighted_b)) - weighted_b @ np.linalg.pinv(
-                weighted_b, rcond=_LSTSQ_RCOND
-            )
-            if cols in projectors:
-                projectors[cols] = found
-        return found
+        u = self.columns.ranges.get(cols)
+        if u is None:
+            r = _real_rows(self.target.weight_vector[:, None] * self.psi_b)
+            u, s, _ = np.linalg.svd(r, full_matrices=False)
+            u = self.columns.ranges[cols] = u[:, s > _LSTSQ_RCOND * s.max(initial=0.0)]
+        return block - u @ (u.T @ block)
 
 
 def _sq_norms(rows, selected) -> np.ndarray:
-    """Squared l2 norm of each selected row, inf for the others.
-
-    Each is the dot product, or the sum of the real and imaginary parts'
-    dot products, that np.linalg.norm takes of one vector, so a row gets
-    the same bits in any stack.
-    """
-    if np.iscomplexobj(rows):
-        re, im = rows.real, rows.imag
-        out = np.array([r.dot(r) + m.dot(m) for r, m in zip(re, im)])
-    else:
-        out = np.array([r.dot(r) for r in rows])
+    """Squared l2 norm of each selected row, inf for the others: one dot
+    product per row of the float64 view, so a row gets the same bits in any
+    stack (a complex row's real and imaginary parts interleave in the view)."""
+    flat = rows.view(np.float64)
+    out = np.vecdot(flat, flat)
     out[~selected] = np.inf
     return out
 
@@ -364,49 +351,35 @@ class _A0Systems:
     The unknowns are theta = [a_1..a_P; b], with a0 = 1 moved to the right
     side. Systems are stored transposed, so that every elementwise pass runs
     along the grid, and padded to the most unknowns of the stack:
-    template[c, :k] holds [Psi_P[:, 1:] | -Psi_b].T of problem c with k
-    unknowns, zero rows follow, and a_rows[c] marks its Psi_P rows. A solve
-    reads the first k rows only. The problems share the weights and the
-    mode of their targets; target holds their targets, one row each, or the
-    one target they share.
+    template[c, :k] holds [diag(h) Psi_P[:, 1:] | -Psi_b].T of problem c with
+    k unknowns and target h, and zero rows follow. A solve reads the first k
+    rows only. The problems share the weights and the mode of their targets;
+    target holds their targets, one row each, or the one target they share.
     """
 
     template: np.ndarray
-    a_rows: np.ndarray
     target: _Target
-    h_fill: np.ndarray = field(init=False)
-    neg_h: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        h = self.target.h
-        object.__setattr__(self, "h_fill", h if h.ndim == 1 else h[:, None, :])
-        object.__setattr__(self, "neg_h", -h)
 
     @classmethod
     def build(cls, bases):
-        ar = [bs.psi_p.shape[1] - 1 for bs in bases]
         unknowns = [bs.unknowns for bs in bases]
         target = _Target.rows([bs.target for bs in bases])
         template = np.zeros((len(bases), max(unknowns), len(target.lam)),
                             dtype=target.h.dtype)
-        for t, p, k, bs in zip(template, ar, unknowns, bases):
-            t[:p] = bs.psi_p[:, 1:].T
+        for t, k, bs in zip(template, unknowns, bases):
+            p = bs.psi_p.shape[1] - 1
+            np.multiply(bs.psi_p[:, 1:].T, bs.target.h, out=t[:p])
             np.negative(bs.psi_b.T, out=t[p:k])
-        a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
-        a_rows = np.repeat(a_rows[:, :, None], template.shape[2], axis=2)
-        return cls(template, a_rows, target)
+        return cls(template, target)
 
     def fill(self, lhs, rhs, gamma) -> None:
         """Write [G diag(h) Psi_P[:, 1:] | -G Psi_b].T into lhs[c] and -G h into rhs[c].
 
-        G = diag(gamma[c]). Each entry is (gamma * psi) * h or gamma * (-psi),
-        which is -(gamma * psi) exactly, the same operations in the same order
-        for every problem of the stack. A zero row of the padding turns
-        non-finite only where gamma is, and then so does the right side.
+        G = diag(gamma[c]). A zero row of the padding turns non-finite only
+        where gamma is, and then so does the right side.
         """
         np.multiply(gamma[:, None, :], self.template, out=lhs)
-        np.multiply(lhs, self.h_fill, out=lhs, where=self.a_rows)
-        np.multiply(gamma, self.neg_h, out=rhs)
+        np.negative(np.multiply(gamma, self.target.h, out=rhs), out=rhs)
 
     def weigh(self, lhs, rhs) -> None:
         """Scale the filled systems by the weights (None for all ones)."""
@@ -423,7 +396,7 @@ class _A0Systems:
         return (np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist()
 
     def keep(self, rows):
-        return _A0Systems(self.template[rows], self.a_rows[rows], self.target.keep(rows))
+        return _A0Systems(self.template[rows], self.target.keep(rows))
 
 
 _ONE, _ZERO = np.ones(1), np.zeros(1)
@@ -491,9 +464,7 @@ def _fit_report(method: str, problem: DesignProblem) -> DesignReport:
 def _ls_fit(problem: DesignProblem, basis: _Basis):
     """The coefficients of prony_ls: (a, b, warnings)."""
     systems = _A0Systems.build([basis])
-    lhs = np.empty_like(systems.template)
-    rhs = np.empty((1, len(basis.target.lam)), dtype=basis.target.h.dtype)
-    systems.fill(lhs, rhs, np.ones(rhs.shape))
+    lhs, rhs = systems.template, -basis.target.h[None]
     systems.weigh(lhs, rhs)
     (found,) = _solve_a0(lhs.transpose(0, 2, 1), rhs, [problem])
     if isinstance(found, np.linalg.LinAlgError):
@@ -507,7 +478,7 @@ def _projection_fit(problem: DesignProblem, basis: _Basis):
     w = basis.target.weight_vector
     psi_p, psi_b, h = basis.psi_p, basis.psi_b, basis.target.h
 
-    block_a = basis.projector() @ _real_rows(w[:, None] * (psi_p * h[:, None]))
+    block_a = basis.project(_real_rows(w[:, None] * (psi_p * h[:, None])))
     theta, rank = _solve_real_lstsq(block_a[:, 1:], -block_a[:, 0])
     a = np.concatenate([[1.0], theta])
     warnings = ["rank-deficient"] if rank < block_a.shape[1] - 1 else []
@@ -595,8 +566,9 @@ def _iterate(runs, tau: int) -> None:
     error-vector changes run once per pass, on stacked arrays with one row
     per live run. The live runs that share an unknown count are solved in
     one LAPACK call (_solve_a0), which gives each system the bits it gets
-    alone. The products alpha = Psi_P a and beta = Psi_Q b and the norms'
-    dot products run per run, so each run gets the bits it would get alone.
+    alone. The products alpha = Psi_P a and beta = Psi_Q b run per run, and
+    the norms take one dot product per row (_sq_norms), so each run gets the
+    bits it would get alone.
     """
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
@@ -775,8 +747,9 @@ def order_search_table(
     prony-projection and iterative asked, the prony-projection designs are
     the iterative runs' initializations. The iterative runs of every split
     and target share one pass loop (one per _Target.mode, should a table mix
-    them), and the Vandermonde columns and numerator projectors are built
-    once for all targets. Each entry is the (error, ar, ma) minimum over its
+    them), and the Vandermonde columns and the orthonormal bases of the
+    numerator ranges that prony-projection projects out are built once for
+    all targets. Each entry is the (error, ar, ma) minimum over its
     own budget's splits, so it equals best_order_search's report: iterative
     splits are retired within their target's ar + ma group, which is the
     same in every search that holds it.
@@ -824,12 +797,9 @@ def _table_designs(problems, splits, methods, tau: int) -> list:
     maker)} of the best finite design of each group of splits; a split whose
     design fails is left out."""
     targets = [_Target.of(problem) for problem in problems]
-    # the projector of an MA order that several splits share is built once
-    ma_orders = Counter(q for _ in problems for _, q in splits)
-    shared = [q + 1 for q, count in ma_orders.items() if count > 1]
     columns = {}
     for target in targets:
-        columns.setdefault(target.mode, _Columns(target.lam, shared))
+        columns.setdefault(target.mode, _Columns(target.lam))
 
     def bases():  # (index, problem, basis) of every split of every target
         for t, (problem, target) in enumerate(zip(problems, targets)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .arma import ArmaFilter, _DirectSolver, arma_response
+from .arma import ArmaFilter, _DirectSolver, _denominator, arma_response
 from .cg import CgConfig, cg_solve
 from .design import (
     ITERATIVE,
@@ -590,8 +590,7 @@ def budgeted_cg_study() -> BudgetedCgResult:
         # plain CG needs a positive-definite system, so the denominator must
         # be positive on the operator's spectrum; this checks it only at the
         # _GRID_POINTS design-grid points, not between them
-        alpha = vandermonde(grid.lambdas, len(filt.a)) @ filt.a
-        return bool(np.all(alpha.real > 0.0))
+        return bool(np.all(_denominator(filt, grid).real > 0.0))
 
     best = None
     for p in range(1, _CG_MAX_AR + 1):

@@ -75,6 +75,15 @@ def eigendecompose(op: ShiftOperator) -> SpectralDecomposition:
     return SpectralDecomposition(lambdas=lam, modes=u, inv_modes=uinv, symmetric=sym)
 
 
+def eigenvalues(op: ShiftOperator) -> np.ndarray:
+    """A shift operator's eigenvalues as complex128, without eigenvectors or
+    eigendecompose's diagonalizability check, which a design grid does not
+    need: a nearly defective operator still has its eigenvalues."""
+    if is_symmetric(op):
+        return np.linalg.eigvalsh(op.dense()).astype(complex)
+    return np.linalg.eigvals(op.dense()).astype(complex)
+
+
 def gft(dec: SpectralDecomposition, x) -> np.ndarray:
     """Graph Fourier transform: U^{-1} x."""
     x = np.asarray(x)
@@ -163,9 +172,11 @@ class FrequencyGrid:
         return bool(np.all(self.lambdas.imag == 0.0))
 
 
-def spectrum_grid(dec: SpectralDecomposition) -> FrequencyGrid:
-    """Frequency grid holding a decomposition's actual eigenvalues."""
-    pair, lam = pair_conjugates(dec.lambdas)
+def spectrum_grid(dec) -> FrequencyGrid:
+    """Frequency grid holding a decomposition's actual eigenvalues, or the
+    eigenvalues themselves (an array, as `eigenvalues` returns)."""
+    lambdas = dec.lambdas if isinstance(dec, SpectralDecomposition) else dec
+    pair, lam = pair_conjugates(lambdas)
     return FrequencyGrid(lambdas=lam, kind=GRAPH_SPECTRUM, pair=pair)
 
 
@@ -248,9 +259,7 @@ def order_frequencies(dec: SpectralDecomposition, op_kind: str) -> np.ndarray:
     pair, _ = pair_conjugates(lam)
     # Give both members of a pair the same key so they sort adjacently.
     group = np.minimum(np.arange(dec.n), pair)
-    tv_shared = tv.copy()
-    for i in range(dec.n):
-        tv_shared[i] = tv[group[i]]
+    tv_shared = tv[group]
     order = sorted(range(dec.n), key=lambda i: (tv_shared[i], group[i], i))
     return np.array(order, dtype=int)
 

@@ -339,10 +339,8 @@ def _reference_group_loop(runs, tau):
     template = np.empty((len(runs), runs[0].basis.unknowns, len(target.lam)),
                         dtype=target.h.dtype)
     for t, p, run in zip(template, ar, runs):
-        t[:p] = run.basis.psi_p[:, 1:].T
+        np.multiply(run.basis.psi_p[:, 1:].T, target.h, out=t[:p])
         np.negative(run.basis.psi_b.T, out=t[p:])
-    a_rows = np.arange(template.shape[1]) < np.array(ar)[:, None]
-    a_rows = np.repeat(a_rows[:, :, None], template.shape[2], axis=2)
     neg_h, w = -target.h, target.weights
 
     score = target.scores
@@ -366,7 +364,6 @@ def _reference_group_loop(runs, tau):
                     live[i].warnings.add("denominator-regularized")
             gamma = np.divide(1.0, denom, out=denom)
             np.multiply(gamma[:, None, :], template, out=lhs[:n])
-            np.multiply(lhs[:n], target.h, out=lhs[:n], where=a_rows)
             np.multiply(gamma, neg_h, out=rhs[:n])
             flat_l, flat_r = lhs[:n].view(np.float64), rhs[:n].view(np.float64)
             going = (np.isfinite(flat_l).all(axis=(1, 2))
@@ -410,7 +407,7 @@ def _reference_group_loop(runs, tau):
                 live = [run for run, g in zip(live, going) if g]
                 if not live:
                     break
-                template, a_rows = template[going], a_rows[going]
+                template = template[going]
                 alpha, beta, err_new = alpha[going], beta[going], err_new[going]
             err_prev = err_new
 

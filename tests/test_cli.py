@@ -8,7 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from graphfilt import CgConfig, arma_apply_cg, cli, graph_from_json, normalize
+from graphfilt import (
+    CgConfig,
+    arma_apply_cg,
+    build_knn_directed,
+    cli,
+    graph_from_json,
+    graph_to_json,
+    normalize,
+)
 from graphfilt.arma import arma_from_json
 from graphfilt.errors import DivergenceError, InstabilityError
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
@@ -130,6 +138,24 @@ class TestDesign:
         rep = json.loads(report.read_text())
         assert rep["ar_order"] + rep["ma_order"] == 5
         assert rep["error_history"]
+
+    @pytest.mark.parametrize("budget", [5, 19])
+    def test_spectrum_grid_of_nearly_defective_adjacency(self, tmp_path, budget):
+        # this directed k-NN adjacency has no well-conditioned eigenvector
+        # basis (eigendecompose's reconstruction residual is 2.27), but a
+        # design grid needs only its eigenvalues
+        rng = np.random.default_rng([35, 5, 1])
+        graph = tmp_path / "g.json"
+        coords = rng.random((64, 2)) * 3 * np.sqrt(2)
+        graph.write_text(graph_to_json(build_knn_directed(coords, 6)))
+        out, report = tmp_path / "f.json", tmp_path / "r.json"
+        code = run(["design", "--method", "iterative", "--grid", "graph-spectrum",
+                    "--graph", str(graph), "--shift", "adjacency", "--response", "lowpass:1.0",
+                    "--budget", str(budget), "-o", str(out), "--report", str(report)])
+        assert code == cli.EXIT_OK
+        rep = json.loads(report.read_text())
+        assert rep["ar_order"] + rep["ma_order"] == budget
+        assert rep["stable"] and rep["rnmse_true"] < 0.25
 
     def test_symmetry_violation_exit_code(self, tmp_path):
         resp = tmp_path / "h.csv"

@@ -127,14 +127,88 @@ class TestPronyProjection:
         assert report.filter.a[1] == pytest.approx(a1[0], rel=1e-10)
 
     def test_projector_properties(self):
-        # the construction used by the projection step: idempotent,
+        # _Basis.project, which the projection step uses: idempotent,
         # self-adjoint, annihilates the numerator range
         grid = complex_disc_grid(20)
-        psi = grid.lambdas[:, None] ** np.arange(4)[None, :]
-        projector = np.eye(20) - psi @ np.linalg.pinv(psi)
-        assert np.linalg.norm(projector @ psi) <= 1e-10
-        assert np.linalg.norm(projector @ projector - projector) <= 1e-10
-        assert np.linalg.norm(projector - projector.conj().T) <= 1e-10
+        problem = DesignProblem(grid=grid, h_hat=ideal_lowpass(grid, 1.0), ar_order=1,
+                                ma_order=3)
+        basis = design._basis(problem, 2, 4)
+        psi = basis.target.weight_vector[:, None] * basis.psi_b
+        psi = np.vstack([psi.real, psi.imag])
+        x, y = np.random.default_rng(4).standard_normal((2, len(psi), 3))
+        px = basis.project(x)
+        assert np.linalg.norm(basis.project(psi)) <= 1e-10
+        assert np.linalg.norm(basis.project(px) - px) <= 1e-10
+        assert np.linalg.norm(px.T @ y - x.T @ basis.project(y)) <= 1e-10
+
+
+def dense_projection(basis, block, rcond=1e-12):
+    """(I - R pinv(R)) block with the dense N x N projector, R the weighted
+    numerator columns of the basis, [Re; Im] rows for a complex target."""
+    r = basis.target.weight_vector[:, None] * basis.psi_b
+    if np.iscomplexobj(r):
+        r = np.vstack([r.real, r.imag])
+    return (np.eye(len(r)) - r @ np.linalg.pinv(r, rcond=rcond)) @ block, r
+
+
+class TestNumeratorProjection:
+    """_Basis.project removes the numerator's range through an orthonormal
+    basis of it instead of the dense projector I - R pinv(R). The dense
+    product R pinv(R) carries errors of about eps * cond(R), so the two agree
+    to 1e-12 where R is well conditioned (cond(R) below about 1e3 here)."""
+
+    @pytest.mark.parametrize("make_grid, p, q, weighted, b0_zero", [
+        (uniform_real_grid, 3, 4, False, False),
+        (uniform_real_grid, 2, 4, True, True),
+        (complex_disc_grid, 3, 4, False, False),
+        (complex_disc_grid, 5, 6, True, True),
+    ])
+    def test_matches_the_dense_projector(self, make_grid, p, q, weighted, b0_zero):
+        grid = make_grid(100)
+        weights = np.linspace(0.5, 2.0, grid.n) if weighted else None
+        problem = DesignProblem(grid=grid, h_hat=ideal_lowpass(grid, 1.0), ar_order=p,
+                                ma_order=q, weights=weights, constrain_b0_zero=b0_zero)
+        basis = design._basis(problem, p + 1, q + 1)
+        h = basis.target.h
+        block = basis.target.weight_vector[:, None] * (basis.psi_p * h[:, None])
+        if np.iscomplexobj(block):
+            block = np.vstack([block.real, block.imag])
+        got = basis.project(block)
+        want, r = dense_projection(basis, block)
+        assert r.shape[1] == q + 1 - int(b0_zero)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rank_deficient_numerator_cut_at_the_lstsq_cutoff(self):
+        # 20 monomials on [0, 2] have numerical rank 16 at rcond 1e-12. The
+        # kept subspace is then fixed only to about eps * s_max / (s_16 - s_17)
+        # (the Davis-Kahan bound), so the dense projector, whose product
+        # R pinv(R) loses the same digits, is compared within that bound
+        problem = lowpass_problem(2, 19)
+        basis = design._basis(problem, 3, 20)
+        block = basis.psi_p * basis.target.h[:, None]
+        got = basis.project(block)
+        want, r = dense_projection(basis, block)
+        rank = np.linalg.lstsq(r, np.ones(len(r)), rcond=1e-12)[2]
+        assert rank == 16 and basis.columns.ranges[20].shape == (100, 16)
+        s = np.linalg.svd(r, compute_uv=False)
+        bound = np.finfo(float).eps * s[0] / (s[rank - 1] - s[rank])
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+        assert np.linalg.norm(basis.project(got) - got) <= 1e-12 * np.linalg.norm(got)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sq_norms_of_a_row_do_not_depend_on_its_stack(self, dtype):
+        rng = np.random.default_rng(18)
+        for m, n in [(1, 7), (3, 50), (12, 100), (40, 64)]:
+            rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-6, 6, (m, 1))
+            if dtype is complex:
+                rows = rows + 1j * rng.standard_normal((m, n))
+            selected = np.ones(m, dtype=bool)
+            stacked = design._sq_norms(rows, selected)
+            for i in range(m):
+                alone = design._sq_norms(rows[i:i + 1].copy(), selected[:1])
+                assert alone[0] == stacked[i]
+            selected[0] = False
+            assert design._sq_norms(rows, selected)[0] == np.inf
 
 
 class TestIterative:
@@ -547,7 +621,9 @@ def solo_reports(grid, h, cands):
 
 # _solve_a0 calls of the iterative budget-19 search on each 100-point grid.
 # Without retiring splits that trail their group, the search made 952 and 920.
-_BUDGET_19_PASSES = {"uniform-real": 457, "complex-disc": 426}
+# Retiring depends on each split's error history, so these counts move with
+# the rounding of the passes.
+_BUDGET_19_PASSES = {"uniform-real": 449, "complex-disc": 426}
 
 
 class TestLockstepSearch:

@@ -2,11 +2,11 @@
 least-squares solve stay where they belong.
 
 `fir.py` is the only module that builds a Vandermonde matrix, only the
-eigendecomposition may densify a shift operator (everything else applies it
-through sparse shift products; the dense oracles live in the tests), and
-`fir._gelsd`, under `fir._solve_real_lstsq` and its stacked form, is the
-one caller of lstsq: the gelsd gufunc of numpy's private `_umath_linalg`,
-which no other module names.
+eigendecomposition and the eigenvalue solve may densify a shift operator
+(everything else applies it through sparse shift products; the dense oracles
+live in the tests), and `fir._gelsd`, under `fir._solve_real_lstsq` and its
+stacked form, is the one caller of lstsq: the gelsd gufunc of numpy's
+private `_umath_linalg`, which no other module names.
 """
 
 import ast
@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphfilt"
-DENSE_ALLOWED = {"spectral.eigendecompose"}
+DENSE_ALLOWED = {"spectral.eigendecompose", "spectral.eigenvalues"}
 LSTSQ_ALLOWED = {"fir._gelsd"}
 
 

@@ -10,6 +10,7 @@ from graphfilt import (
     complex_disc_grid,
     custom_operator,
     eigendecompose,
+    eigenvalues,
     gft,
     igft,
     normalize,
@@ -76,6 +77,30 @@ class TestEigendecompose:
         # a Jordan block is not diagonalizable
         with pytest.raises(NonDiagonalizableError):
             eigendecompose(custom_operator(np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("make_op", [
+        lambda: normalize(build_er_graph(30, 0.2, 5), NORMALIZED_LAPLACIAN),
+        lambda: normalize(build_knn_directed(np.random.default_rng(1).random((20, 2)) * 3, 4),
+                          NORMALIZED_ADJACENCY),
+    ], ids=["laplacian", "directed-adjacency"])
+    def test_match_the_decomposition(self, make_op):
+        op = make_op()
+        lam = eigenvalues(op)
+        assert lam.dtype == complex
+        def key(z):
+            return round(z.real, 9), round(z.imag, 9)
+
+        got, want = sorted(lam, key=key), sorted(eigendecompose(op).lambdas, key=key)
+        assert np.allclose(got, want, atol=1e-10)
+        grid = spectrum_grid(lam)
+        assert grid.n == op.n and np.array_equal(grid.pair[grid.pair], np.arange(op.n))
+
+    def test_defective_operator_has_a_grid(self):
+        # eigendecompose rejects a Jordan block; its eigenvalues are a grid
+        grid = spectrum_grid(eigenvalues(custom_operator(np.array([[1.0, 1.0], [0.0, 1.0]]))))
+        assert np.array_equal(grid.lambdas, [1.0, 1.0]) and grid.all_real
 
 
 class TestGft:
