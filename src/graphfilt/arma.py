@@ -26,6 +26,8 @@ from .spectral import FrequencyGrid
 _DIRECT_SOLVE_MAX_N = 2000
 # |a(lambda)| at or below this on a grid point marks a filter unstable
 _STABILITY_THRESHOLD = 1e-8
+# |a(lambda)| at or below this on a grid point leaves the response undefined
+_VANISHING_DENOMINATOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def _denominator(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
 def arma_response(filt: ArmaFilter, grid: FrequencyGrid) -> np.ndarray:
     """Frequency response (sum b_q lambda^q) / (sum a_p lambda^p)."""
     denom = _denominator(filt, grid)
-    bad = np.flatnonzero(np.abs(denom) <= 1e-12)
+    bad = np.flatnonzero(np.abs(denom) <= _VANISHING_DENOMINATOR)
     if bad.size:
         raise InstabilityError(
             f"denominator vanishes at grid index {int(bad[0])}",

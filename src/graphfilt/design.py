@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .arma import ArmaFilter, StabilityReport, check_stability
+from .arma import _VANISHING_DENOMINATOR, ArmaFilter, StabilityReport, check_stability
 from .errors import InstabilityError, ParameterError
 from .fir import _LSTSQ_RCOND, _real_rows, _solve_real_lstsq, _solve_real_lstsq_stack, vandermonde
 from .spectral import COMPLEX_DISC, FrequencyGrid, validate_conjugate_pairs
@@ -37,8 +37,8 @@ _RHO = 1e-8
 # stop the iterative design once the error vector moves less than this
 _DELTA_C = 1e-10
 # passes without a new best error after which an order search's split leaves
-# the pass loop, unless it leads its group
-_PATIENCE = 20
+# the pass loop
+_PATIENCE = 8
 
 
 def rnmse(estimate, reference) -> float:
@@ -234,15 +234,17 @@ class _Target:
 
         alpha and beta stack the denominator and numerator values of several
         responses as rows. A row's RNMSE is inf when its response or error
-        norm is not finite; its error vector w * (h - beta/alpha) may then
-        hold non-finite entries.
+        norm is not finite, or when |alpha| is at most _VANISHING_DENOMINATOR
+        at a grid point, where arma_response refuses the filter; its error
+        vector w * (h - beta/alpha) may then hold non-finite entries.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resp = beta / alpha
             err = self.h - resp
             if self.weights is not None:
                 err *= self.weights
-            finite = np.isfinite(resp).all(axis=1)
+            finite = (np.abs(alpha) > _VANISHING_DENOMINATOR).all(axis=1)
+            finite &= np.isfinite(resp).all(axis=1)
             if self.abs_h is None:
                 dev = err
             else:
@@ -535,17 +537,8 @@ class _Run:
             self.best, self.best_pass = error, len(self.history)
         self.history.append(error)
 
-    def rank(self):
-        """The search's ranking key of this run's best iterate."""
-        return _rank((self.best, *_orders(self.problem)))
 
-    @property
-    def group(self):
-        """The runs this one competes with: one target, one ar + ma."""
-        return self.target_index, self.problem.ar_order + self.problem.ma_order
-
-
-def _iterate(runs, tau: int) -> None:
+def _iterate(runs, tau: int, patience: int | None = None) -> None:
     """Run the passes of iterative_design for several runs in one pass loop.
 
     The runs' problems share the grid and the weights, and their targets the
@@ -553,14 +546,10 @@ def _iterate(runs, tau: int) -> None:
     targets, orders and b0 pins may differ. A run leaves the loop when the
     l2 change of its error vector drops below _DELTA_C, when its system goes
     non-finite, when its solve raises LinAlgError (kept in run.error), or
-    after tau passes. A run also leaves, unconverged, once _PATIENCE passes
-    have gone by since its best error, unless it leads its group (_Run.group:
-    the runs of its target with its ar + ma): the leader is the group's run
-    without a solve error that ranks first by the search's key (best error,
-    P, Q). A group of one never retires. The leader's best only falls, so a
-    run that leaves could win only by passing it later, after that many
-    passes without a gain. Unless that happens, a group's winner runs every
-    pass it runs alone.
+    after tau passes. Given a patience, a run also leaves, unconverged, once
+    that many passes have gone by since its best error. Every rule reads the
+    run's own history only, so each run gets exactly what this loop gives it
+    alone.
 
     The weights, the system fill, the finite checks, the scores and the
     error-vector changes run once per pass, on stacked arrays with one row
@@ -572,9 +561,7 @@ def _iterate(runs, tau: int) -> None:
     """
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
-    groups = {}
-    for run in runs:
-        groups.setdefault(run.group, []).append(run)
+    stall = math.inf if patience is None else patience
     systems = _A0Systems.build([run.basis for run in runs])
     alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
     beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
@@ -622,17 +609,13 @@ def _iterate(runs, tau: int) -> None:
             delta = np.sqrt(_sq_norms(err_new - err_prev, finite))
             for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
                 if going[i]:
-                    live[i].record(e)
+                    run = live[i]
+                    run.record(e)
                     if d < _DELTA_C:
-                        live[i].converged = True
+                        run.converged = True
                         going[i] = False
-            stale = [i for i, run in enumerate(live)
-                     if going[i] and len(run.history) - 1 - run.best_pass >= _PATIENCE]
-            for i in stale:
-                group = groups[live[i].group]
-                if len(group) > 1:
-                    leader = min((run for run in group if run.error is None), key=_Run.rank)
-                    going[i] = live[i] is leader
+                    elif len(run.history) - 1 - run.best_pass >= stall:
+                        going[i] = False
             if not all(going):
                 live = [run for run, g in zip(live, going) if g]
                 if not live:
@@ -722,9 +705,10 @@ def best_order_search(
     Ties break toward smaller AR order, then smaller MA order, so the
     reduction is deterministic regardless of evaluation order. Candidates
     whose design fails are skipped. The iterative method runs the passes of
-    all splits in one pass loop, retires a split that trails the leader of
-    its ar + ma group once _PATIENCE passes have gone by since its best
-    error, and reports only the winner, as iterative_design reports it alone.
+    all splits in one pass loop, stops a split, unconverged, once _PATIENCE
+    passes have gone by without a new best error, and reports only the
+    winner. Its report is iterative_design's with that stall rule, so it may
+    read converged False after fewer than tau iterations.
     """
     return order_search_table(grid, h_hat, [budget], [method], le_budget, tau)[method, budget]
 
@@ -750,9 +734,9 @@ def order_search_table(
     them), and the Vandermonde columns and the orthonormal bases of the
     numerator ranges that prony-projection projects out are built once for
     all targets. Each entry is the (error, ar, ma) minimum over its
-    own budget's splits, so it equals best_order_search's report: iterative
-    splits are retired within their target's ar + ma group, which is the
-    same in every search that holds it.
+    own budget's splits, so it equals best_order_search's report: an
+    iterative split stops on its own history alone (_iterate with
+    _PATIENCE), which is the same in every search that holds it.
     """
     stacked = np.ndim(h_hat) == 2
     budgets = list(dict.fromkeys(budgets))
@@ -819,7 +803,7 @@ def _table_designs(problems, splits, methods, tau: int) -> list:
         for mode in columns:
             same = [run for run in runs if run.basis.target.mode == mode]
             if same:
-                _iterate(same, tau)
+                _iterate(same, tau, _PATIENCE)
         for run in runs:
             found = designs[run.target_index]
             if run.error is None:

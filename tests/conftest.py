@@ -207,7 +207,7 @@ def reference_projection_init(problem):
     return ArmaFilter(a=a, b=b)
 
 
-def reference_iterative_design(problem, tau=50):
+def reference_iterative_design(problem, tau=50, patience=None):
     """The iterative design pass loop in complex arithmetic on the full grid,
     evaluated naively, with the imaginary parts of the solves truncated.
 
@@ -215,7 +215,9 @@ def reference_iterative_design(problem, tau=50):
     error vector, multiplies by explicit unit weights and stacks the system
     with hstack. This is how the design ran before it solved over real
     coefficients on one frequency per conjugate pair; with pair-symmetric
-    weights the two agree to rounding.
+    weights the two agree to rounding. Given a patience, the loop also
+    stops, unconverged, once that many passes have gone by without a new
+    best true error, as an order search's split does.
     """
     init = reference_projection_init(problem)
     w = problem.weight_vector
@@ -292,6 +294,8 @@ def reference_iterative_design(problem, tau=50):
         if delta < 1e-10:
             converged = True
             break
+        if patience is not None and len(history) - 1 - int(np.argmin(history)) >= patience:
+            break
 
     if not any(np.isfinite(e) for e in history):
         raise InstabilityError("every iterate produced an unstable filter")
@@ -312,25 +316,26 @@ def reference_iterative_design(problem, tau=50):
     )
 
 
-def reference_iterate(runs, tau):
+def reference_iterate(runs, tau, patience=None):
     """design._iterate as one pass loop per group: the runs of one target
     (run.target_index) with one P + Q, each group on its own.
 
     The optimized loop runs every group of a table in one loop; each run
     must get exactly the iterates, history, warnings and solve error that
     this loop gives it. Within a group the loop is the lockstep loop that
-    ran before the groups were fused: one stack of equal-width systems, the
-    lead run's target scoring every row, and a group of one never retiring.
+    ran before the groups were fused: one stack of equal-width systems and
+    the lead run's target scoring every row. A run leaves, unconverged,
+    once patience passes have gone by since its best error.
     """
     groups = {}
     for run in runs:
         key = run.target_index, run.problem.ar_order + run.problem.ma_order
         groups.setdefault(key, []).append(run)
     for group in groups.values():
-        _reference_group_loop(group, tau)
+        _reference_group_loop(group, tau, math.inf if patience is None else patience)
 
 
-def _reference_group_loop(runs, tau):
+def _reference_group_loop(runs, tau, patience):
     if tau < 1:
         raise ParameterError(f"need at least one iteration, got {tau}")
     target = runs[0].basis.target
@@ -396,13 +401,9 @@ def _reference_group_loop(runs, tau):
                     if d < design._DELTA_C:
                         live[i].converged = True
                         going[i] = False
-            stale = [i for i, run in enumerate(live) if going[i]
-                     and len(run.history) - 1 - run.best_pass >= design._PATIENCE]
-            if stale and len(runs) > 1:
-                leader = min((run for run in runs if run.error is None),
-                             key=design._Run.rank)
-                for i in stale:
-                    going[i] = live[i] is leader
+            for i, run in enumerate(live):
+                if going[i] and len(run.history) - 1 - run.best_pass >= patience:
+                    going[i] = False
             if not all(going):
                 live = [run for run, g in zip(live, going) if g]
                 if not live:

@@ -557,3 +557,11 @@ class TestExperimentCommand:
         assert run(["experiment", "compression", "--trials", "1",
                     "--k-min", "4", "--k-max", "4", "-o", str(out)]) == 0
         assert out.exists()
+
+    def test_compression_at_seed_12(self, tmp_path):
+        # the search's K = 8 winner had a denominator of 5.5e-13 at a grid
+        # point, and the study exited 4 with "denominator vanishes"
+        out = tmp_path / "report.csv"
+        assert run(["experiment", "compression", "--k-min", "4", "--k-max", "8",
+                    "--k-step", "4", "--trials", "4", "--seed", "12", "-o", str(out)]) == 0
+        assert out.exists()

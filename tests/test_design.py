@@ -23,7 +23,7 @@ from graphfilt import (
     uniform_real_grid,
 )
 from graphfilt import design
-from graphfilt.arma import StabilityReport
+from graphfilt.arma import StabilityReport, arma_response
 from graphfilt.design import ideal_lowpass, order_candidates, run_method
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
@@ -304,7 +304,8 @@ class TestIterativeReference:
 
     def test_real_grid_order_search_matches(self):
         # real arithmetic rounds differently, so the errors agree to a
-        # tolerance and the chosen orders exactly
+        # tolerance and the chosen orders exactly; every split of the
+        # reference search stops as the search stops it
         grid = uniform_real_grid(100)
         h = ideal_lowpass(grid, 1.0)
         for k in range(5, 14):
@@ -313,7 +314,8 @@ class TestIterativeReference:
             for p, q in order_candidates(k, le_budget=False):
                 problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
                 try:
-                    refs.append(reference_iterative_design(problem))
+                    refs.append(reference_iterative_design(problem,
+                                                           patience=design._PATIENCE))
                 except InstabilityError:
                     continue
             ref = min(refs, key=ranking)
@@ -323,7 +325,9 @@ class TestIterativeReference:
             assert rep.rnmse_true == pytest.approx(ref.rnmse_true, rel=1e-6)
 
     def test_complex_grid_order_search_matches(self):
-        # the search winners of the real solves are the complex loop's
+        # the search winners of the real solves are the complex loop's,
+        # with each split of the reference search stopped as the search
+        # stops it
         grid = complex_disc_grid(100)
         h = ideal_lowpass(grid, 1.0)
         for k in (5, 9, 13):
@@ -332,7 +336,8 @@ class TestIterativeReference:
             for p, q in order_candidates(k, le_budget=False):
                 problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
                 try:
-                    refs.append(reference_iterative_design(problem))
+                    refs.append(reference_iterative_design(problem,
+                                                           patience=design._PATIENCE))
                 except InstabilityError:
                     continue
             ref = min(refs, key=ranking)
@@ -416,6 +421,22 @@ class TestErrors:
         for p, q in ((1, 0), (1, 2)):
             problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
             assert true_error(ArmaFilter(a=[1.0, -1.0], b=np.ones(q + 1)), problem) == np.inf
+
+    def test_vanishing_denominator_scores_inf(self):
+        # b = a, so the response b(lambda)/a(lambda) is 1 (to rounding),
+        # but |a(1)| = 5e-13 is where arma_response refuses the filter
+        grid = uniform_real_grid(41)
+        problem = DesignProblem(grid=grid, h_hat=ideal_lowpass(grid, 1.0),
+                                ar_order=1, ma_order=1)
+        for gap, vanishes in ((5e-13, True), (2e-12, False)):
+            a = [1.0, gap - 1.0]
+            filt = ArmaFilter(a=a, b=a)
+            assert (true_error(filt, problem) == np.inf) is vanishes
+            if vanishes:
+                with pytest.raises(InstabilityError, match="denominator vanishes"):
+                    arma_response(filt, grid)
+            else:
+                assert arma_response(filt, grid) == pytest.approx(np.ones(grid.n))
 
     def test_amplitude_only_resolution(self):
         disc = complex_disc_grid(20)
@@ -521,9 +542,9 @@ class TestOrderSearch:
         designed = []
         iterate = design._iterate
 
-        def recording(runs, tau):
+        def recording(runs, tau, patience=None):
             designed.extend((r.problem.ar_order, r.problem.ma_order) for r in runs)
-            return iterate(runs, tau)
+            return iterate(runs, tau, patience)
 
         monkeypatch.setattr(design, "_iterate", recording)
         best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
@@ -548,33 +569,25 @@ def assert_same_report(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def retired_runs(runs, solo):
-    """The runs of one pass loop that left before their solo design ended.
+def retired_runs(runs, full):
+    """The runs of one pass loop that left before iterative_design ends
+    their split alone (full: its reports by split).
 
-    Asserts that every run's history is a prefix of its solo history, and
-    that a run that left early trailed its group's leader, ranked by (best
-    error so far, P, Q) among the runs of its target and P + Q without a
-    solve error at that pass, and had gone _PATIENCE passes without a new best.
+    Asserts that every run's history is a prefix of its split's full
+    history, and that a run that left early did so unconverged, exactly
+    _PATIENCE passes after its best error.
     """
-    def group(r):
-        return r.target_index, r.problem.ar_order + r.problem.ma_order
-
     retired = []
     for run in runs:
         if run.error is not None:
             continue
-        full = solo[run.problem.ar_order, run.problem.ma_order].error_history
+        history = full[design._orders(run.problem)].error_history
         last = len(run.history) - 1
-        assert tuple(run.history) == full[:last + 1]
-        if last == len(full) - 1:
+        assert tuple(run.history) == history[:last + 1]
+        if last == len(history) - 1:
             continue
         assert not run.converged
         assert last - int(np.argmin(run.history)) == design._PATIENCE
-        rivals = [r for r in runs if group(r) == group(run)
-                  and (r.error is None or len(r.history) > last)]
-        leader = min(rivals, key=lambda r: (min(r.history[:last + 1]),
-                                             r.problem.ar_order, r.problem.ma_order))
-        assert leader is not run
         retired.append(run)
     return retired
 
@@ -607,30 +620,42 @@ def counted_systems(monkeypatch, counts, key="split_passes"):
     monkeypatch.setattr(design, "_solve_a0", counting)
 
 
-def solo_reports(grid, h, cands):
-    """iterative_design of each split on its own; failing splits left out."""
+def solo_design(problem, patience=design._PATIENCE, tau=50):
+    """The report of a problem's pass loop run alone from its prony_projection
+    design: as an order search stops it, or with patience None as
+    iterative_design runs it."""
+    run = design._Run.start(problem, None)
+    design._iterate([run], tau, patience)
+    if run.error is not None:
+        raise run.error
+    return design._iterative_report(run)
+
+
+def solo_reports(grid, h, cands, patience=design._PATIENCE):
+    """solo_design of each split; failing splits left out."""
     reports = {}
     for p, q in cands:
         problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q)
         try:
-            reports[p, q] = iterative_design(problem)
+            reports[p, q] = solo_design(problem, patience)
         except InstabilityError:
             continue
     return reports
 
 
 # _solve_a0 calls of the iterative budget-19 search on each 100-point grid.
-# Without retiring splits that trail their group, the search made 952 and 920.
+# Without retiring splits, the search made 952 and 920; retiring a split that
+# trailed its P + Q group's leader 20 passes after its best, 449 and 426.
 # Retiring depends on each split's error history, so these counts move with
 # the rounding of the passes.
-_BUDGET_19_PASSES = {"uniform-real": 449, "complex-disc": 426}
+_BUDGET_19_PASSES = {"uniform-real": 192, "complex-disc": 171}
 
 
 class TestLockstepSearch:
-    """The order search runs the passes of all its splits together, and
-    retires splits that trail within their P + Q group; each split must get
-    a prefix of the bits it gets from iterative_design alone, and the winner
-    all of them."""
+    """The order search runs the passes of all its splits together, and each
+    split leaves once _PATIENCE passes have gone by without a new best error.
+    Each split must get the bits its pass loop gets alone under that
+    patience: a prefix of the bits iterative_design gives it."""
 
     @pytest.mark.parametrize("le_budget", [False, True])
     @pytest.mark.parametrize("budget", [5, 9])
@@ -647,6 +672,7 @@ class TestLockstepSearch:
         h = ideal_lowpass(grid, 1.0)
         cands = order_candidates(5, le_budget=False)
         solo = solo_reports(grid, h, cands)
+        full = solo_reports(grid, h, cands, patience=None)
         passes = []
 
         def fails(problem):
@@ -662,12 +688,12 @@ class TestLockstepSearch:
             )
             for p, q in cands
         ]
-        design._iterate(runs, 50)
+        design._iterate(runs, 50, design._PATIENCE)
         failed = runs[2]
         assert isinstance(failed.error, np.linalg.LinAlgError)
         assert len(failed.history) == 3
         assert all(run.error is None for run in runs if run is not failed)
-        assert retired_runs(runs, solo)  # (4, 1) and (5, 0) leave early
+        assert retired_runs(runs, full)
         others = [rep for (p, _), rep in solo.items() if p != 2]
         winner = min(others, key=ranking)
         assert_same_report(
@@ -691,17 +717,11 @@ class TestLockstepSearch:
         grid = make_grid(100)
         h = ideal_lowpass(grid, 1.0)
         solo = solo_reports(grid, h, order_candidates(budget, le_budget))
-        groups = []
-        iterate = design._iterate
-
-        def recording(runs, tau):
-            iterate(runs, tau)
-            groups.append(runs)
-
-        monkeypatch.setattr(design, "_iterate", recording)
+        full = solo_reports(grid, h, order_candidates(budget, le_budget), patience=None)
+        loops = recorded_loops(monkeypatch, design._iterate)
         got = best_order_search(grid, h, budget, "iterative", le_budget=le_budget)
         assert_same_report(got, min(solo.values(), key=ranking))
-        assert sum(len(retired_runs(runs, solo)) for runs in groups) > 0
+        assert sum(len(retired_runs(runs, full)) for runs in loops) > 0
 
     def test_iterative_design_alone_runs_every_pass(self):
         # (16, 3) never converges and its best iterate is its initialization;
@@ -725,7 +745,8 @@ class TestLockstepSearch:
     def test_le_budget_search_runs_one_pass_loop(self, monkeypatch):
         # the benchmark's --le-budget search: budget 9 on the 100-point
         # uniform grid. One loop per P + Q group made 10 loops of 358
-        # iterations in all; the split-passes are the same 1176
+        # iterations in all. Retiring a split that trailed its group's
+        # leader 20 passes after its best made 1176 split-passes
         counts = {"loops": 0, "iterations": 0, "split_passes": 0}
         iterate, fill = design._iterate, design._A0Systems.fill
 
@@ -741,7 +762,7 @@ class TestLockstepSearch:
         counted_systems(monkeypatch, counts)
         grid = uniform_real_grid(100)
         best_order_search(grid, ideal_lowpass(grid, 1.0), 9, "iterative", le_budget=True)
-        assert counts == {"loops": 1, "iterations": 50, "split_passes": 1176}
+        assert counts == {"loops": 1, "iterations": 50, "split_passes": 526}
 
     def test_failing_initialization_skips_only_that_split(self, monkeypatch):
         grid = uniform_real_grid(100)
@@ -917,9 +938,9 @@ def recorded_loops(monkeypatch, loop):
     """Route design._iterate through loop and keep the runs of each call."""
     calls = []
 
-    def recording(runs, tau):
+    def recording(runs, tau, patience=None):
         calls.append(runs)
-        return loop(runs, tau)
+        return loop(runs, tau, patience)
 
     monkeypatch.setattr(design, "_iterate", recording)
     return calls
@@ -987,7 +1008,8 @@ class TestFusedPassLoop:
         grid = uniform_real_grid(100)
         targets = np.array([ideal_lowpass(grid, c) for c in (1.0, 0.8)])
         (runs,) = self.tables(monkeypatch, grid, targets, [13, 19], ["iterative"])
-        retired = {run.group for run in runs if left_early(run, 50)}
+        retired = {(run.target_index, sum(design._orders(run.problem)))
+                   for run in runs if left_early(run, 50)}
         assert {total for _, total in retired} == {13, 19}
         assert {t for t, _ in retired} == {0, 1}
 
@@ -1023,8 +1045,88 @@ class TestFusedPassLoop:
             return out
 
         got, want = runs(), runs()
-        design._iterate(got, 30)
-        reference_iterate(want, 30)
+        design._iterate(got, 30, design._PATIENCE)
+        reference_iterate(want, 30, design._PATIENCE)
         for g, w in zip(got, want):
             assert_same_run(g, w)
         assert any(left_early(run, 30) for run in got)
+
+
+class TestStallRule:
+    """A split of an order search leaves its pass loop once _PATIENCE passes
+    have gone by without a new best true error. The rule reads the split's
+    own history only, so a loop of any mix of splits gives each the same
+    iterates, history, warnings and stop pass as its loop alone."""
+
+    @staticmethod
+    def mixed_runs():
+        """Runs of four targets on one complex-disc grid with shared weights:
+        two scored on magnitudes and two on the complex error, each at every
+        split of budget <= 7 with b0 free and pinned."""
+        grid = complex_disc_grid(60)
+        rng = np.random.default_rng(5)
+        targets = [ideal_lowpass(grid, 1.0), random_pair_symmetric(grid, rng),
+                   ideal_lowpass(grid, 0.6), random_pair_symmetric(grid, rng)]
+        runs = []
+        for t, h in enumerate(targets):
+            for b0_zero in (False, True):
+                for p, q in order_candidates(7, le_budget=True):
+                    problem = DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q,
+                                            weights=pair_symmetric_weights(grid),
+                                            constrain_b0_zero=b0_zero)
+                    try:
+                        runs.append(design._Run.start(problem, None, target_index=t))
+                    except InstabilityError:
+                        continue
+        return runs
+
+    def test_each_run_of_a_mixed_loop_runs_as_alone(self):
+        fused, alone = self.mixed_runs(), self.mixed_runs()
+        modes = {run.basis.target.mode for run in fused}
+        assert len(modes) == 2
+        for mode in modes:  # one loop per mode, as in a search table
+            design._iterate([run for run in fused if run.basis.target.mode == mode], 50,
+                            design._PATIENCE)
+        for got, run in zip(fused, alone):
+            design._iterate([run], 50, design._PATIENCE)
+            assert_same_run(got, run)
+        stops = {len(run.history) - 1 for run in fused if left_early(run, 50)}
+        assert len(stops) > 1
+
+    def test_table_of_mixed_targets_equals_the_table_of_lone_splits(self, monkeypatch):
+        grid = complex_disc_grid(60)
+        targets = np.array([ideal_lowpass(grid, 1.0),
+                            random_pair_symmetric(grid, np.random.default_rng(6)),
+                            ideal_lowpass(grid, 0.6)])
+        args = grid, targets, [5, 9], design.METHODS, True
+        got = design.order_search_table(*args)
+        iterate = design._iterate
+
+        def one_at_a_time(runs, tau, patience=None):
+            for run in runs:
+                iterate([run], tau, patience)
+
+        monkeypatch.setattr(design, "_iterate", one_at_a_time)
+        for g, w in zip(got, design.order_search_table(*args)):
+            assert_same_table(g, w)
+
+    def test_complex_disc_budget_9_winner(self):
+        # the one search winner the stall rule moves: alone, (4, 5) has its
+        # best at pass 2 and its next gain at pass 16. In the search it
+        # leaves at pass 10, and (2, 7) wins, 2.4% above (4, 5)'s best
+        grid = complex_disc_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        problem = DesignProblem(grid=grid, h_hat=h, ar_order=4, ma_order=5)
+        full = iterative_design(problem).error_history
+        gains = [i for i in range(1, len(full)) if full[i] < min(full[:i])]
+        assert gains[:2] == [2, 16]
+        stalled = solo_design(problem)
+        assert stalled.iterations == 2 + design._PATIENCE and not stalled.converged
+        assert stalled.error_history == full[:stalled.iterations + 1]
+
+        got = best_order_search(grid, h, 9, "iterative")
+        assert design._orders(got.filter) == (2, 7)
+        assert_same_report(got, solo_design(problem._at_orders(2, 7)))
+        assert got.rnmse_true == pytest.approx(0.38813, abs=5e-6)
+        assert min(full) == pytest.approx(0.37903, abs=5e-6)
+        assert got.rnmse_true <= 1.025 * min(full)
