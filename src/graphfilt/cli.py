@@ -24,7 +24,7 @@ from .design import (
     DesignProblem,
     best_order_search,
     ideal_lowpass,
-    report_to_json,
+    report_record,
     run_method,
 )
 from .errors import (
@@ -134,6 +134,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
             payload[key] = target._get_values(action, [str(value)])
         action.required = False
     target.set_defaults(**payload)
+
+
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _non_negative_int(text: str) -> int:
@@ -248,9 +252,9 @@ def _cmd_design(args) -> int:
             raise ParameterError("--method fir requires --k")
         design = fir_design(grid, h, args.k)
         if "rank-deficient" in design.warnings:
-            print(f"warning: FIR fit of order {args.k} is rank-deficient: some "
-                  f"coefficients are not determined by the grid (condition estimate "
-                  f"{design.condition_estimate:.3g})", file=sys.stderr)
+            _warn(f"FIR fit of order {args.k} is rank-deficient: some coefficients are "
+                  f"not determined by the grid (condition estimate "
+                  f"{design.condition_estimate:.3g})")
         text = fir_to_json(design.filter) + "\n"
         report = {
             "method": "fir", "order": args.k, "rnmse": design.rnmse,
@@ -270,10 +274,11 @@ def _cmd_design(args) -> int:
                 grid=grid, h_hat=h, ar_order=args.p, ma_order=args.q
             )
             rep = run_method(args.method, problem)
+        orders = rep.filter.ar_order, rep.filter.ma_order
+        for warning in rep.warnings:
+            _warn(f"{rep.method} design of orders {orders}: {warning}")
         text = arma_to_json(rep.filter) + "\n"
-        report = json.loads(report_to_json(rep))
-        report["ar_order"] = rep.filter.ar_order
-        report["ma_order"] = rep.filter.ma_order
+        report = {**report_record(rep), "ar_order": orders[0], "ma_order": orders[1]}
     _atomic_writer(args.output, lambda tmp: Path(tmp).write_text(text))
     if args.report:
         report["config"] = _echo_config(args)
@@ -296,9 +301,8 @@ def _cmd_apply(args) -> int:
             y, trace = arma_apply_cg(filt, op, x, cfg)
             if not trace.converged:
                 residual = trace.residual_norms[-1] / trace.residual_norms[0]
-                print(f"warning: CG did not converge in {trace.iterations} iterations: "
-                      f"relative residual {residual:.3g}, epsilon {cfg.epsilon:g}",
-                      file=sys.stderr)
+                _warn(f"CG did not converge in {trace.iterations} iterations: "
+                      f"relative residual {residual:.3g}, epsilon {cfg.epsilon:g}")
             if args.trace:
                 _atomic_writer(args.trace, lambda p: trace_to_csv(trace, p))
     else:

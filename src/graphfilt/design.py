@@ -61,25 +61,27 @@ def ideal_lowpass(grid, cutoff: float = 1.0) -> np.ndarray:
     return (np.abs(grid.lambdas - 1.0) <= cutoff).astype(complex)
 
 
+def report_record(report) -> dict:
+    """A DesignReport (without the iterate history) as a JSON-ready dict."""
+    return {
+        "method": report.method,
+        "a": [float(v) for v in report.filter.a],
+        "b": [float(v) for v in report.filter.b],
+        "rnmse_true": report.rnmse_true,
+        "rnmse_modified": report.rnmse_modified,
+        "iterations": report.iterations,
+        "error_history": list(report.error_history),
+        "converged": report.converged,
+        "stable": report.stability.stable,
+        "min_denominator_magnitude": report.stability.min_denominator_magnitude,
+        "imag_residue": report.imag_residue,
+        "warnings": list(report.warnings),
+    }
+
+
 def report_to_json(report) -> str:
     """Serialize a DesignReport (without the iterate history) to JSON."""
-    return json.dumps(
-        {
-            "method": report.method,
-            "a": [float(v) for v in report.filter.a],
-            "b": [float(v) for v in report.filter.b],
-            "rnmse_true": report.rnmse_true,
-            "rnmse_modified": report.rnmse_modified,
-            "iterations": report.iterations,
-            "error_history": list(report.error_history),
-            "converged": report.converged,
-            "stable": report.stability.stable,
-            "min_denominator_magnitude": report.stability.min_denominator_magnitude,
-            "imag_residue": report.imag_residue,
-            "warnings": list(report.warnings),
-        },
-        sort_keys=True,
-    )
+    return json.dumps(report_record(report), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,7 @@ def _make_report(filt, problem, basis, method, warnings,
 
 def prony_ls(problem: DesignProblem) -> DesignReport:
     """Minimize the modified error ||h * a(lambda) - b(lambda)|| with a0 = 1."""
-    return _fit_report(PRONY_LS, problem)
+    return _fit_report(PRONY_LS, _ls_fit, problem)
 
 
 def prony_projection(problem: DesignProblem) -> DesignReport:
@@ -454,12 +456,12 @@ def prony_projection(problem: DesignProblem) -> DesignReport:
     numerator Vandermonde range; step 2 solves the true-error least squares
     for b with the denominator frozen.
     """
-    return _fit_report(PRONY_PROJECTION, problem)
+    return _fit_report(PRONY_PROJECTION, _projection_fit, problem)
 
 
-def _fit_report(method: str, problem: DesignProblem) -> DesignReport:
+def _fit_report(method: str, fit, problem: DesignProblem) -> DesignReport:
     basis = _basis(problem, problem.ar_order + 1, problem.ma_order + 1)
-    a, b, warnings = _FITS[method](problem, basis)
+    a, b, warnings = fit(problem, basis)
     return _make_report(ArmaFilter(a=a, b=b), problem, basis, method, warnings)
 
 
@@ -494,10 +496,6 @@ def _projection_fit(problem: DesignProblem, basis: _Basis):
     b_tail, _ = _solve_real_lstsq(b_lhs, w * h)
     b = np.concatenate([[0.0], b_tail]) if problem.constrain_b0_zero else b_tail
     return a, b, warnings
-
-
-# The one-shot least-squares designs, by method.
-_FITS = {PRONY_LS: _ls_fit, PRONY_PROJECTION: _projection_fit}
 
 
 @dataclass
@@ -727,20 +725,20 @@ def order_search_table(
     targets of shape (T, N), which gives a list of T tables. Each target is
     validated once, and each split of the budgets is designed once per
     method and target, whatever number of budgets it serves: one le_budget
-    search at the largest budget answers every smaller one. With both
-    prony-projection and iterative asked, the prony-projection designs are
-    the iterative runs' initializations. The iterative runs of every split
-    and target share one pass loop (one per _Target.mode, should a table mix
-    them), and the Vandermonde columns and the orthonormal bases of the
-    numerator ranges that prony-projection projects out are built once for
-    all targets. Each entry is the (error, ar, ma) minimum over its
-    own budget's splits, so it equals best_order_search's report: an
+    search at the largest budget answers every smaller one. _table_designs
+    lists every design of every split, and each entry is the (error, ar, ma)
+    minimum over the finite designs of its method whose ar + ma its budget
+    allows, so it equals best_order_search's report: an
     iterative split stops on its own history alone (_iterate with
     _PATIENCE), which is the same in every search that holds it.
     """
     stacked = np.ndim(h_hat) == 2
     budgets = list(dict.fromkeys(budgets))
-    sums = {k: {p + q for p, q in _feasible(grid, k, le_budget)} for k in budgets}
+    sums = {}
+    for k in budgets:
+        sums[k] = {p + q for p, q in order_candidates(k, le_budget) if p + q + 1 <= grid.n}
+        if not sums[k]:
+            raise ParameterError(f"no feasible orders for budget {k} on {grid.n} points")
     for method in methods:
         if method not in METHODS:
             raise ParameterError(f"unknown design method {method!r}")
@@ -749,91 +747,69 @@ def order_search_table(
     totals = sorted(set().union(*sums.values()))
     splits = [(p, total - p) for total in totals for p in range(total + 1)]
     tables = []
-    for bests in _table_designs(problems, splits, methods, tau):
+    for designs in _table_designs(problems, splits, methods, tau):
         table = {}
         for k in budgets:
             for method in methods:
-                found = [bests[method, s] for s in sums[k] if (method, s) in bests]
+                found = [d for d in designs if d[3] == method and d[1] + d[2] in sums[k]
+                         and math.isfinite(d[0])]
                 if not found:
                     raise InstabilityError(f"every order candidate failed for budget {k}")
-                table[method, k] = min(found, key=_rank)[3]()
+                table[method, k] = min(found, key=lambda d: d[:3])[4]()
         tables.append(table)
     return tables if stacked else tables[0]
 
 
-def _rank(scored):
-    return scored[:3]
-
-
-def _feasible(grid: FrequencyGrid, budget: int, le_budget: bool) -> list:
-    cands = [
-        (p, q)
-        for p, q in order_candidates(budget, le_budget)
-        if p + q + 1 <= grid.n
-    ]
-    if not cands:
-        raise ParameterError(f"no feasible orders for budget {budget} on {grid.n} points")
-    return cands
-
-
 def _table_designs(problems, splits, methods, tau: int) -> list:
-    """Per target problem, {(method, ar + ma): (true RNMSE, ar, ma, report
-    maker)} of the best finite design of each group of splits; a split whose
-    design fails is left out."""
+    """Per target problem, one list of (true RNMSE, ar, ma, method, report
+    maker) over every design of every split by every method; a split whose
+    design fails leaves no entry for that method.
+
+    prony-ls is fitted split by split. prony-projection is the initialization
+    of each split's _Run, scored with its history[0] when the iterative passes
+    run, and the iterative runs of every split and target share one pass loop
+    (one per _Target.mode, should a table mix them). The Vandermonde columns
+    and the orthonormal bases of the numerator ranges that prony-projection
+    projects out are built once for all targets.
+    """
     targets = [_Target.of(problem) for problem in problems]
     columns = {}
     for target in targets:
         columns.setdefault(target.mode, _Columns(target.lam))
-
-    def bases():  # (index, problem, basis) of every split of every target
-        for t, (problem, target) in enumerate(zip(problems, targets)):
-            for p, q in splits:
-                split = problem._at_orders(p, q)
-                yield t, split, _basis(split, p + 1, q + 1, columns[target.mode], target)
-
-    designs = [[] for _ in problems]  # per target: (error, ar, ma, method, maker)
-    fits = dict.fromkeys(methods)
+    designs = [[] for _ in problems]
+    runs = []
+    for t, (problem, target) in enumerate(zip(problems, targets)):
+        for p, q in splits:
+            split = problem._at_orders(p, q)
+            basis = _basis(split, p + 1, q + 1, columns[target.mode], target)
+            if PRONY_LS in methods:
+                try:
+                    a, b, warnings = _ls_fit(split, basis)
+                except (InstabilityError, np.linalg.LinAlgError):
+                    pass
+                else:
+                    designs[t].append((basis.score(a, b), p, q, PRONY_LS, partial(
+                        _make_report, ArmaFilter(a=a, b=b), split, basis, PRONY_LS, warnings)))
+            if ITERATIVE in methods or PRONY_PROJECTION in methods:
+                try:
+                    runs.append(_Run.start(split, None, basis, t))
+                except (InstabilityError, np.linalg.LinAlgError):
+                    continue
     if ITERATIVE in methods:
-        runs = []
-        for t, problem, basis in bases():
-            try:
-                runs.append(_Run.start(problem, None, basis, t))
-            except (InstabilityError, np.linalg.LinAlgError):
-                continue
         for mode in columns:
             same = [run for run in runs if run.basis.target.mode == mode]
             if same:
                 _iterate(same, tau, _PATIENCE)
-        for run in runs:
-            found = designs[run.target_index]
-            if run.error is None:
-                found.append((run.best, *_orders(run.problem), ITERATIVE,
-                              partial(_iterative_report, run)))
-            if PRONY_PROJECTION in methods:
-                found.append((run.history[0], *_orders(run.problem), PRONY_PROJECTION,
-                              partial(_make_report, ArmaFilter(*run.iterates[0]),
-                                      run.problem, run.basis, PRONY_PROJECTION,
-                                      run.projection)))
-        fits.pop(ITERATIVE)
-        fits.pop(PRONY_PROJECTION, None)
-    for method in fits:
-        for t, problem, basis in bases():
-            try:
-                a, b, warnings = _FITS[method](problem, basis)
-            except (InstabilityError, np.linalg.LinAlgError):
-                continue
-            designs[t].append((basis.score(a, b), *_orders(problem), method,
-                               partial(_make_report, ArmaFilter(a=a, b=b), problem, basis,
-                                       method, warnings)))
-    bests = []
-    for found in designs:
-        best = {}
-        for err, p, q, method, make in found:
-            key = method, p + q
-            if np.isfinite(err) and (key not in best or (err, p, q) < _rank(best[key])):
-                best[key] = (err, p, q, make)
-        bests.append(best)
-    return bests
+    for run in runs:
+        found, orders = designs[run.target_index], _orders(run.problem)
+        if ITERATIVE in methods and run.error is None:
+            found.append((run.best, *orders, ITERATIVE, partial(_iterative_report, run)))
+        if PRONY_PROJECTION in methods:
+            init = ArmaFilter(*run.iterates[0])
+            err = run.history[0] if run.history else run.basis.score(init.a, init.b)
+            found.append((err, *orders, PRONY_PROJECTION, partial(
+                _make_report, init, run.problem, run.basis, PRONY_PROJECTION, run.projection)))
+    return designs
 
 
 def _orders(problem: DesignProblem):

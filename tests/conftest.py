@@ -316,103 +316,6 @@ def reference_iterative_design(problem, tau=50, patience=None):
     )
 
 
-def reference_iterate(runs, tau, patience=None):
-    """design._iterate as one pass loop per group: the runs of one target
-    (run.target_index) with one P + Q, each group on its own.
-
-    The optimized loop runs every group of a table in one loop; each run
-    must get exactly the iterates, history, warnings and solve error that
-    this loop gives it. Within a group the loop is the lockstep loop that
-    ran before the groups were fused: one stack of equal-width systems and
-    the lead run's target scoring every row. A run leaves, unconverged,
-    once patience passes have gone by since its best error.
-    """
-    groups = {}
-    for run in runs:
-        key = run.target_index, run.problem.ar_order + run.problem.ma_order
-        groups.setdefault(key, []).append(run)
-    for group in groups.values():
-        _reference_group_loop(group, tau, math.inf if patience is None else patience)
-
-
-def _reference_group_loop(runs, tau, patience):
-    if tau < 1:
-        raise ParameterError(f"need at least one iteration, got {tau}")
-    target = runs[0].basis.target
-    ar = [run.basis.psi_p.shape[1] - 1 for run in runs]
-    k = runs[0].basis.unknowns
-    template = np.empty((len(runs), runs[0].basis.unknowns, len(target.lam)),
-                        dtype=target.h.dtype)
-    for t, p, run in zip(template, ar, runs):
-        np.multiply(run.basis.psi_p[:, 1:].T, target.h, out=t[:p])
-        np.negative(run.basis.psi_b.T, out=t[p:])
-    neg_h, w = -target.h, target.weights
-
-    score = target.scores
-    alpha = np.stack([run.basis.psi_p @ run.iterates[0][0] for run in runs])
-    beta = np.stack([run.basis.psi_q @ run.iterates[0][1] for run in runs])
-    lhs, rhs = np.empty_like(template), np.empty_like(alpha)
-    lhs_t = lhs.transpose(0, 2, 1)
-    live = runs
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err_true, err_prev = score(alpha, beta)
-        for run, e in zip(runs, err_true.tolist()):
-            run.record(e)
-        for _ in range(tau):
-            n = len(live)
-            rho = design._RHO * np.abs(alpha).max(axis=1)
-            denom = alpha + rho[:, None]
-            if not denom.all():
-                zero = denom == 0.0
-                for i in zero.any(axis=1).nonzero()[0]:
-                    denom[i] = np.where(zero[i], max(rho[i], 1e-30), denom[i])
-                    live[i].warnings.add("denominator-regularized")
-            gamma = np.divide(1.0, denom, out=denom)
-            np.multiply(gamma[:, None, :], template, out=lhs[:n])
-            np.multiply(gamma, neg_h, out=rhs[:n])
-            flat_l, flat_r = lhs[:n].view(np.float64), rhs[:n].view(np.float64)
-            going = (np.isfinite(flat_l).all(axis=(1, 2))
-                     & np.isfinite(flat_r).all(axis=1)).tolist()
-            if w is not None:
-                lhs[:n] *= w
-                rhs[:n] *= w
-            for i, run in enumerate(live):
-                if not going[i]:
-                    run.warnings.add("non-finite-iterate")
-                    continue
-                (solved,) = design._solve_a0(lhs_t[i:i + 1, :, :k], rhs[i:i + 1],
-                                             [run.problem])
-                if isinstance(solved, np.linalg.LinAlgError):
-                    run.error = solved
-                    going[i] = False
-                    continue
-                a, b, deficient = solved
-                if deficient:
-                    run.warnings.add("rank-deficient")
-                run.iterates.append((a, b))
-                np.matmul(run.basis.psi_p, a, out=alpha[i])
-                np.matmul(run.basis.psi_q, b, out=beta[i])
-            err_true, err_new = score(alpha, beta)
-            finite = np.isfinite(err_new.view(np.float64)).all(axis=1)
-            delta = np.sqrt(design._sq_norms(err_new - err_prev, finite))
-            for i, (e, d) in enumerate(zip(err_true.tolist(), delta.tolist())):
-                if going[i]:
-                    live[i].record(e)
-                    if d < design._DELTA_C:
-                        live[i].converged = True
-                        going[i] = False
-            for i, run in enumerate(live):
-                if going[i] and len(run.history) - 1 - run.best_pass >= patience:
-                    going[i] = False
-            if not all(going):
-                live = [run for run, g in zip(live, going) if g]
-                if not live:
-                    break
-                template = template[going]
-                alpha, beta, err_new = alpha[going], beta[going], err_new[going]
-            err_prev = err_new
-
-
 # ---------------------------------------------------------------------------
 # Study loops that share no work: every row from the per-call public
 # functions, as the studies ran before they computed shared work once. A

@@ -16,8 +16,10 @@ from graphfilt import (
     graph_from_json,
     graph_to_json,
     normalize,
+    uniform_real_grid,
 )
 from graphfilt.arma import arma_from_json
+from graphfilt.design import best_order_search, ideal_lowpass, report_to_json
 from graphfilt.errors import DivergenceError, InstabilityError
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
@@ -126,6 +128,24 @@ class TestDesign:
         else:
             assert rep["warnings"] == [] and lines == []
 
+    @pytest.mark.parametrize("orders, warned", [
+        (["--budget", "19"], ["iterative design of orders (8, 11): rank-deficient"]),
+        (["--p", "9", "--q", "10"], ["iterative design of orders (9, 10): rank-deficient"]),
+        (["--budget", "5"], []),
+    ])
+    def test_arma_design_warnings_on_stderr(self, tmp_path, capsys, orders, warned):
+        # a search and a fixed-order design both still write their filter
+        # and exit 0, with one stderr line per warning of the report
+        out, report = tmp_path / "f.json", tmp_path / "r.json"
+        code = run(["design", "--method", "iterative", "--grid", "uniform-real",
+                    "--response", "lowpass:1.0", *orders,
+                    "-o", str(out), "--report", str(report)])
+        assert code == cli.EXIT_OK
+        assert json.loads(out.read_text())["type"] == "arma"
+        rep = json.loads(report.read_text())
+        assert rep["warnings"] == [w.rsplit(": ", 1)[1] for w in warned]
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warned]
+
     def test_iterative_budget_search(self, tmp_path):
         out = tmp_path / "f.json"
         report = tmp_path / "r.json"
@@ -138,6 +158,12 @@ class TestDesign:
         rep = json.loads(report.read_text())
         assert rep["ar_order"] + rep["ma_order"] == 5
         assert rep["error_history"]
+        # the design report's own record, plus the orders and the config echo
+        grid = uniform_real_grid(50)
+        want = best_order_search(grid, ideal_lowpass(grid, 1.0), 5, "iterative")
+        assert rep.pop("config")["budget"] == 5
+        assert rep == {**json.loads(report_to_json(want)), "ar_order": want.filter.ar_order,
+                       "ma_order": want.filter.ma_order}
 
     @pytest.mark.parametrize("budget", [5, 19])
     def test_spectrum_grid_of_nearly_defective_adjacency(self, tmp_path, budget):

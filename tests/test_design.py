@@ -32,7 +32,6 @@ from conftest import (
     random_pair_symmetric,
     random_stable_arma,
     reference_a0_solve,
-    reference_iterate,
     reference_iterative_design,
 )
 
@@ -876,6 +875,37 @@ class TestSearchTable:
         assert (got.filter.ar_order, got.filter.ma_order) != split
         assert_same_report(got, best_order_search(grid, h, 5, "iterative"))
 
+    @pytest.mark.parametrize("make_grid", [uniform_real_grid, complex_disc_grid])
+    def test_projection_table_runs_no_pass_loop(self, monkeypatch, make_grid):
+        # prony-projection designs are the runs' initializations, whether or
+        # not the table also asks for iterative
+        grid = make_grid(40)
+        targets = np.array([ideal_lowpass(grid, c) for c in (0.5, 1.0, 1.5)])
+        budgets = [2, 5, 8]
+        every = design.order_search_table(grid, targets, budgets, design.METHODS, True)
+
+        def no_loop(*args):
+            raise AssertionError("a prony-projection table ran the pass loop")
+
+        monkeypatch.setattr(design, "_iterate", no_loop)
+        got = design.order_search_table(grid, targets, budgets, ["prony-projection"], True)
+        for table, full, h in zip(got, every, targets):
+            assert list(table) == [("prony-projection", k) for k in budgets]
+            for key, rep in table.items():
+                problem = DesignProblem(grid=grid, h_hat=h, ar_order=rep.filter.ar_order,
+                                        ma_order=rep.filter.ma_order)
+                assert_same_report(rep, prony_projection(problem))
+                assert_same_report(rep, full[key])
+
+    @pytest.mark.parametrize("method", ["prony-ls", "prony-projection"])
+    def test_search_with_no_finite_design_fails(self, monkeypatch, method):
+        # a design that scores inf (a response not finite on the grid) is no
+        # candidate, so a search whose every split scores inf fails
+        grid, h = TARGETS["uniform-real"]()
+        monkeypatch.setattr(design._Basis, "score", lambda self, a, b: np.inf)
+        with pytest.raises(InstabilityError, match="every order candidate failed"):
+            best_order_search(grid, h, 3, method)
+
     @pytest.mark.parametrize("method", ["prony-ls", "prony-projection"])
     @pytest.mark.parametrize("target", TARGETS)
     def test_one_shot_searches_report_the_best_solo_design(self, method, target):
@@ -934,6 +964,13 @@ def assert_same_run(got, want):
         want.converged, want.warnings, repr(want.error))
 
 
+def iterate_alone(runs, tau, patience=None, iterate=design._iterate):
+    """The pass loop run on each run by itself; iterate is bound to the
+    unpatched design._iterate, so a test may route design._iterate here."""
+    for run in runs:
+        iterate([run], tau, patience)
+
+
 def recorded_loops(monkeypatch, loop):
     """Route design._iterate through loop and keep the runs of each call."""
     calls = []
@@ -954,19 +991,19 @@ def left_early(run, tau):
 
 
 class TestFusedPassLoop:
-    """order_search_table runs every split, P + Q group and target of a table
-    in one pass loop. Each table must equal, bit for bit, the table that one
-    loop per (target, P + Q) group gives (conftest.reference_iterate), and
-    the table of each target searched alone."""
+    """order_search_table runs every split and target of a table in one pass
+    loop. Each table must equal, bit for bit, the table built with every run
+    iterated alone (iterate_alone), and the table of each target searched
+    alone."""
 
     def tables(self, monkeypatch, grid, targets, *args, **kwargs):
-        """(fused tables, reference tables, each target's own table), with
-        the fused call's runs."""
+        """Check the fused tables against the tables of lone runs and each
+        target's own table; return the fused call's runs."""
         with monkeypatch.context() as m:
             fused = recorded_loops(m, design._iterate)
             got = design.order_search_table(grid, targets, *args, **kwargs)
         with monkeypatch.context() as m:
-            recorded_loops(m, reference_iterate)
+            recorded_loops(m, iterate_alone)
             want = design.order_search_table(grid, targets, *args, **kwargs)
         alone = [design.order_search_table(grid, h, *args, **kwargs) for h in targets]
         assert len(got) == len(want) == len(alone) == len(targets)
@@ -991,7 +1028,7 @@ class TestFusedPassLoop:
 
     def test_failing_split_next_to_healthy_groups(self, monkeypatch):
         # (2, 3) of every target fails at its third pass, in the fused loop
-        # and in the reference loop alike
+        # and alone alike
         grid, targets = spectrum_targets(2)
         passes = {}
         failing_solve(monkeypatch, partial(fails_at_third_pass, passes))
@@ -1001,7 +1038,7 @@ class TestFusedPassLoop:
         assert [(run.target_index, *design._orders(run.problem)) for run in failed] == [
             (0, 2, 3), (1, 2, 3)]
         assert all(len(run.history) == 3 for run in failed)
-        # fused, reference and alone: one run of the split per target each
+        # fused, lone runs and lone targets: one run of the split per target each
         assert [count for _, count in passes.values()] == [3] * 6
 
     def test_retired_splits_in_two_groups(self, monkeypatch):
@@ -1028,7 +1065,8 @@ class TestFusedPassLoop:
 
     def test_constrain_b0_zero(self):
         # the prediction study's problem shape: weights and a pinned b0, here
-        # with the weights shared and one target per trial
+        # with the weights shared and one target per trial. One loop over
+        # every target, one loop per target and each run alone must agree
         grid, targets = spectrum_targets(3)
         weights = np.abs(targets[0])
 
@@ -1044,11 +1082,16 @@ class TestFusedPassLoop:
                         continue
             return out
 
-        got, want = runs(), runs()
+        got, per_target, alone = runs(), runs(), runs()
         design._iterate(got, 30, design._PATIENCE)
-        reference_iterate(want, 30, design._PATIENCE)
-        for g, w in zip(got, want):
-            assert_same_run(g, w)
+        for t in range(len(targets)):
+            design._iterate([run for run in per_target if run.target_index == t], 30,
+                            design._PATIENCE)
+        iterate_alone(alone, 30, design._PATIENCE)
+        assert len(got) == len(per_target) == len(alone)
+        for g, p, a in zip(got, per_target, alone):
+            assert_same_run(g, a)
+            assert_same_run(p, a)
         assert any(left_early(run, 30) for run in got)
 
 
