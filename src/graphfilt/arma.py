@@ -111,7 +111,9 @@ class _DirectSolver:
     """Dense solves a(S) y = b(S) x on one operator, for many filters.
 
     Every a(S) is summed from the powers S^k I, computed on first need and
-    kept, with the products and order of poly_apply on the identity.
+    kept, with the products and order of poly_apply on the identity. The
+    stacked forms take one coefficient row per filter and give each filter
+    the bits its own call gets.
     """
 
     def __init__(self, op: ShiftOperator):
@@ -124,9 +126,20 @@ class _DirectSolver:
         self._more = _shift_powers(op, np.eye(op.n))
 
     def ar_matrix(self, a) -> np.ndarray:
-        """sum a_p S^p as a dense matrix."""
-        self._powers += islice(self._more, max(len(a) - len(self._powers), 0))
-        return _poly_sum(a, self._powers)
+        """sum a_p S^p as a dense matrix, or the (C, n, n) stack of them for
+        C coefficient rows a of shape (C, P + 1)."""
+        a = np.asarray(a)
+        self._powers += islice(self._more, max(a.shape[-1] - len(self._powers), 0))
+        return _poly_sum(a.T[..., None, None] if a.ndim == 2 else a, self._powers)
+
+    def numerators(self, b, x) -> np.ndarray:
+        """b(S) x for each coefficient row of b, shape (C, Q + 1): x is one
+        signal of shape (n,), or one signal per row, shape (C, n). Row c gets
+        the bits of poly_apply(b[c], op, its signal); the rows come back as
+        a (C, n) stack."""
+        if x.ndim == 1:
+            return _poly_sum(b.T[:, :, None], _shift_powers(self.op, x))
+        return _poly_sum(b.T[:, None, :], _shift_powers(self.op, x.T)).T
 
     def solve(self, ar_matrix, b, x) -> np.ndarray:
         """a(S)^{-1} b(S) x, for ar_matrix = a(S)."""
@@ -135,6 +148,31 @@ class _DirectSolver:
             return np.linalg.solve(ar_matrix, z)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("AR polynomial matrix is singular") from exc
+
+    @staticmethod
+    def solve_each(ar_matrices, z):
+        """Solve ar_matrices[..., :, :] y = z[..., :] for every system of a
+        stack, the two broadcast over their leading axes, in one stacked
+        np.linalg.solve with the right sides as (..., n, 1), which gives each
+        system the bits np.linalg.solve gives it alone. Returns (y, solved):
+        a singular system's solution is NaN and solved False there. When the
+        stacked call raises, the systems are solved one by one to find them.
+        """
+        try:
+            y = np.linalg.solve(ar_matrices, z[..., None])[..., 0]
+            return y, np.ones(y.shape[:-1], dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+        matrices = np.broadcast_to(ar_matrices, z.shape[:-1] + ar_matrices.shape[-2:])
+        y = np.full(z.shape, np.nan)
+        solved = np.zeros(z.shape[:-1], dtype=bool)
+        for i in np.ndindex(solved.shape):
+            try:
+                y[i] = np.linalg.solve(matrices[i], z[i][:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                continue
+            solved[i] = True
+        return y, solved
 
 
 def arma_to_json(filt: ArmaFilter) -> str:

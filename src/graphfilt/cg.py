@@ -9,6 +9,7 @@ automatic normal-equations fallback, recorded in the trace.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,56 +52,109 @@ class CgTrace:
 def cg_solve(apply_op, rhs, cfg: CgConfig, trace: CgTrace | None = None, residual0=None):
     """Conjugate gradient on apply_op(y) = rhs.
 
+    rhs of shape (n,) is one system, and the trace (trace when given, else a
+    new one) comes back with y. rhs of shape (n, m) holds m systems in
+    columns, apply_op maps an (n, m) block to an (n, m) block column by
+    column, and a list of m traces comes back, one per column; trace must
+    then be None. Each column runs its own recursion: its own step sizes,
+    stop test, zero-curvature break and divergence streak. A column that has
+    stopped is frozen. Updates are elementwise and each column's dot
+    products take one BLAS call on its contiguous copy (_dots), so a column
+    gets the y, iterations, residual history and converged flag of its
+    system solved alone, given an apply_op that gives each column of a block
+    the bits it gives that column alone.
+
     residual0, when given, is the precomputed initial residual (used by the
     normal-equations path, whose residual is cheaper to form directly).
-    Stops at the iteration cap or when the squared residual falls to
-    epsilon^2 times its initial value. Raises DivergenceError when the
-    residual norm stays a factor of 10 above its initial value for five
-    consecutive iterations.
+    A column stops at the iteration cap, when its squared residual falls to
+    epsilon^2 times its initial value, or when its curvature d^T P d is
+    zero. Raises DivergenceError, with the trace of the first column at
+    fault, when a residual norm stays a factor of 10 above its initial
+    value for five consecutive iterations.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if trace is None:
-        trace = CgTrace()
-    y = np.zeros_like(rhs) if cfg.y0 is None else np.asarray(cfg.y0, dtype=float).copy()
+    if rhs.ndim == 1:
+        traces = [CgTrace() if trace is None else trace]
+
+        def apply_block(v):
+            return apply_op(v[:, 0])[:, None]
+    elif rhs.ndim == 2 and trace is None:
+        traces = [CgTrace() for _ in range(rhs.shape[1])]
+        apply_block = apply_op
+    else:
+        raise DimensionError("need one right-hand side, or a block of them without a trace")
+    shape = (len(rhs), len(traces))
+    y = np.zeros(rhs.shape) if cfg.y0 is None else np.asarray(cfg.y0, dtype=float)
     if y.shape != rhs.shape:
         raise DimensionError("initial guess length does not match right-hand side")
+    y = y.reshape(shape).copy()
 
-    r = (rhs - apply_op(y)) if residual0 is None else np.asarray(residual0, dtype=float)
+    if residual0 is None:
+        r = rhs.reshape(shape) - apply_block(y)
+    else:
+        r = np.asarray(residual0, dtype=float).reshape(shape).copy()
     d = r.copy()
-    delta0 = delta_new = float(r @ r)
-    trace.residual_norms.append(float(np.sqrt(delta_new)))
-    if delta0 == 0.0:
-        trace.converged = True
-        return y, trace
+    delta0 = _dots(r, r)
+    delta_new = delta0.copy()
+    # per column, as Python floats: the stop and divergence thresholds
+    tolerance = (cfg.epsilon**2 * delta0).tolist()
+    blowup = ((_DIVERGENCE_FACTOR**2) * delta0).tolist()
+    streak = [0] * len(traces)
+    for t, delta in zip(traces, delta0.tolist()):
+        t.residual_norms.append(math.sqrt(delta))
 
-    streak = 0
+    live = [j for j, delta in enumerate(delta0.tolist()) if delta > tolerance[j]]
+    cols = _columns(live, len(traces))
     i = 0
-    while i < cfg.max_iterations and delta_new > cfg.epsilon**2 * delta0:
-        p_d = apply_op(d)
-        curvature = float(d @ p_d)
-        if curvature == 0.0:
-            break
-        omega = delta_new / curvature
-        y = y + omega * d
-        r = r - omega * p_d
-        delta_old = delta_new
-        delta_new = float(r @ r)
-        d = r + (delta_new / delta_old) * d
+    while i < cfg.max_iterations and live:
+        p_d = apply_block(d)
+        curvature = _dots(d[:, cols], p_d[:, cols])
+        if 0.0 in curvature.tolist():  # d^T P d = 0: those columns stop here
+            moving = curvature != 0.0
+            live = [j for j, keep in zip(live, moving.tolist()) if keep]
+            if not live:
+                break
+            cols, curvature = _columns(live, len(traces)), curvature[moving]
+        omega = delta_new[cols] / curvature
+        y[:, cols] += omega * d[:, cols]
+        r[:, cols] -= omega * p_d[:, cols]
+        delta = _dots(r[:, cols], r[:, cols])
+        d[:, cols] = r[:, cols] + (delta / delta_new[cols]) * d[:, cols]
+        delta_new[cols] = delta
         i += 1
-        trace.iterations = i
-        trace.residual_norms.append(float(np.sqrt(delta_new)))
-        if delta_new > (_DIVERGENCE_FACTOR**2) * delta0:
-            streak += 1
-            if streak >= _DIVERGENCE_STREAK:
+        deltas = delta.tolist()
+        for j, delta_j in zip(live, deltas):
+            t = traces[j]
+            t.iterations = i
+            t.residual_norms.append(math.sqrt(delta_j))
+            streak[j] = streak[j] + 1 if delta_j > blowup[j] else 0
+            if streak[j] >= _DIVERGENCE_STREAK:
                 raise DivergenceError(
                     f"residual stayed {_DIVERGENCE_FACTOR:.0f}x above initial for "
                     f"{_DIVERGENCE_STREAK} iterations",
-                    trace=trace,
+                    trace=t,
                 )
-        else:
-            streak = 0
-    trace.converged = delta_new <= cfg.epsilon**2 * delta0
-    return y, trace
+        going = [j for j, delta_j in zip(live, deltas) if delta_j > tolerance[j]]
+        if len(going) < len(live):
+            live, cols = going, _columns(going, len(traces))
+    for t, delta, tol in zip(traces, delta_new.tolist(), tolerance):
+        t.converged = delta <= tol
+    if rhs.ndim == 1:
+        return y[:, 0], traces[0]
+    return y, traces
+
+
+def _columns(live: list, m: int):
+    """An index for the live columns of an (n, m) block: a slice while all
+    are live, so that the updates run on whole arrays."""
+    return slice(None) if len(live) == m else np.array(live, dtype=np.intp)
+
+
+def _dots(u, v) -> np.ndarray:
+    """Column-wise dot products of two (n, m) blocks: one BLAS dot per
+    column, on contiguous copies, so each column gets the bits of u @ v for
+    the 1-D column vectors."""
+    return np.vecdot(np.ascontiguousarray(u.T), np.ascontiguousarray(v.T))
 
 
 def arma_apply_cg(filt: ArmaFilter, op: ShiftOperator, x, cfg: CgConfig):

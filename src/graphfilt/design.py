@@ -178,13 +178,13 @@ class _Target:
     and w_i for a real frequency. For real coefficients the error at j is
     the conjugate of the error at i, so every weighted norm, and with it
     every least-squares solve and score, is the full grid's. In a pass loop,
-    h, h_norm and abs_h may instead stack the targets of the loop's runs,
-    one row each.
+    h, h_norm, abs_h and weights may instead stack the targets of the loop's
+    runs, one row each.
     """
 
     lam: np.ndarray
     h: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray | None  # (N,), or one row per run in a stack
     h_norm: float | np.ndarray  # ||w * h||
     abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
 
@@ -217,18 +217,27 @@ class _Target:
     @classmethod
     def rows(cls, targets) -> _Target:
         """The targets of several runs, one row each, or the one target
-        they all share. They must share the grid, the weights and the mode."""
+        they all share. They must share the grid and the mode. The weights
+        stay one vector when every target holds the same one (or None), and
+        are stacked as rows like h otherwise, a run without weights getting
+        a row of ones, which multiplies to the same bits as no weights."""
         first = targets[0]
         if all(t is first for t in targets):
             return first
-        return cls(first.lam, np.stack([t.h for t in targets]), first.weights,
+        weights = first.weights
+        if any(t.weights is not weights for t in targets):
+            weights = np.stack([t.weight_vector for t in targets])
+        return cls(first.lam, np.stack([t.h for t in targets]), weights,
                    np.array([t.h_norm for t in targets]),
                    None if first.abs_h is None else np.stack([t.abs_h for t in targets]))
 
     def keep(self, rows) -> _Target:
         if self.h.ndim == 1:
             return self
-        return _Target(self.lam, self.h[rows], self.weights, self.h_norm[rows],
+        weights = self.weights
+        if weights is not None and weights.ndim == 2:
+            weights = weights[rows]
+        return _Target(self.lam, self.h[rows], weights, self.h_norm[rows],
                        None if self.abs_h is None else self.abs_h[rows])
 
     def scores(self, alpha, beta):
@@ -357,8 +366,8 @@ class _A0Systems:
     along the grid, and padded to the most unknowns of the stack:
     template[c, :k] holds [diag(h) Psi_P[:, 1:] | -Psi_b].T of problem c with
     k unknowns and target h, and zero rows follow. A solve reads the first k
-    rows only. The problems share the weights and the mode of their targets;
-    target holds their targets, one row each, or the one target they share.
+    rows only. The problems share the mode of their targets; target holds
+    their targets (and weights), one row each, or the one target they share.
     """
 
     template: np.ndarray
@@ -389,7 +398,7 @@ class _A0Systems:
         """Scale the filled systems by the weights (None for all ones)."""
         w = self.target.weights
         if w is not None:
-            lhs *= w
+            lhs *= w[:, None, :] if w.ndim == 2 else w
             rhs *= w
 
     def finite(self, lhs, rhs) -> list:
@@ -539,9 +548,9 @@ class _Run:
 def _iterate(runs, tau: int, patience: int | None = None) -> None:
     """Run the passes of iterative_design for several runs in one pass loop.
 
-    The runs' problems share the grid and the weights, and their targets the
-    arithmetic and whether errors are scored on magnitudes (_Target.mode);
-    targets, orders and b0 pins may differ. A run leaves the loop when the
+    The runs' problems share the grid, and their targets the arithmetic and
+    whether errors are scored on magnitudes (_Target.mode); targets, weights,
+    orders and b0 pins may differ. A run leaves the loop when the
     l2 change of its error vector drops below _DELTA_C, when its system goes
     non-finite, when its solve raises LinAlgError (kept in run.error), or
     after tau passes. Given a patience, a run also leaves, unconverged, once
@@ -664,11 +673,23 @@ def iterative_design(
             f"init orders ({init.ar_order},{init.ma_order}) do not match problem "
             f"({problem.ar_order},{problem.ma_order})"
         )
-    run = _Run.start(problem, init)
-    _iterate([run], tau)
-    if run.error is not None:
-        raise run.error
-    return _iterative_report(run)
+    return _iterative_designs([(problem, init)], tau)[0]
+
+
+def _iterative_designs(starts, tau: int) -> list:
+    """iterative_design(problem, init, tau) of each (problem, init) pair,
+    with the passes of all in one pass loop. The problems share the grid and
+    their targets' mode (_iterate); each report is the one its problem gets
+    alone, and the first problem whose design fails raises what it raises
+    alone."""
+    runs = [_Run.start(problem, init) for problem, init in starts]
+    _iterate(runs, tau)
+    reports = []
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+        reports.append(_iterative_report(run))
+    return reports
 
 
 def run_method(method: str, problem: DesignProblem, tau: int = 50) -> DesignReport:

@@ -21,6 +21,7 @@ from .design import (
     ITERATIVE,
     DesignProblem,
     DesignReport,
+    _iterative_designs,
     best_order_search,
     ideal_lowpass,
     iterative_design,
@@ -126,8 +127,13 @@ def smooth_signal(
     with a broadband floor, which keeps residual-based pipelines away from
     exactly representable signals.
     """
+    return _shaped_signal(dec, _shared_rank(dec, op_kind), rng, profile)
+
+
+def _shaped_signal(dec: SpectralDecomposition, rank, rng, profile: str = "mask"):
+    """smooth_signal with the frequency rank of dec computed once by the
+    caller, for a study that draws many signals on one decomposition."""
     n = dec.n
-    rank = _shared_rank(dec, op_kind)
     if profile == "mask":
         keep = max(1, round(_KEEP_FRAC * n))
         envelope = (rank < keep).astype(float)
@@ -201,18 +207,19 @@ def interpolate(
     for comp in range(n_comp):
         if not np.any(task.mask[labels == comp]):
             raise SingularSystemError(f"component {comp} has no observed node")
-    return _interpolation_solve(op, x_observed, task, cg)
+    return _interpolation_solve(op, x_observed, task.mask, task.omega, cg)
 
 
-def _interpolation_solve(op: ShiftOperator, x_observed, task: InterpolationTask, cg):
-    """The CG solve of interpolate, for a task that observes every component."""
-    mask = task.mask.astype(float)
-    rhs = mask * x_observed
+def _interpolation_solve(op: ShiftOperator, x_observed, mask, omega: float, cg):
+    """The CG solve of interpolate for masks that observe every component:
+    one signal and its mask, or a block of signals in columns with a mask
+    per column, solved in one cg_solve call."""
+    mask = mask.astype(float)
 
     def apply_system(v):
-        return mask * v + task.omega * shift_apply(op, v)
+        return mask * v + omega * shift_apply(op, v)
 
-    return cg_solve(apply_system, rhs, cg)
+    return cg_solve(apply_system, mask * x_observed, cg)
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +241,63 @@ def _check_bits(total_bits: int) -> None:
         raise ParameterError(f"need a bit budget of at least 3 bits, got {total_bits}")
 
 
+# the largest integer part a format may have: 2.0**1024 overflows a float
+_MAX_INTEGER_BITS = 1023
+
+
 def quantize_residual(residual, total_bits: int) -> QuantizedResidual:
     """Quantize a residual with a total bit budget.
 
     One bit is spent on the sign, ceil(log2(max |r|)) on the integer part
     (never negative), and the remainder on the fraction; values round half
-    to even and clamp at the largest representable magnitude.
+    to even and clamp at the largest representable magnitude. A residual
+    with a non-finite entry, or whose peak magnitude is 2^1023 or more, has
+    no such format and raises ParameterError.
     """
     _check_bits(total_bits)
     r = np.asarray(residual, dtype=float)
-    peak = float(np.max(np.abs(r))) if r.size else 0.0
-    integer_bits = max(0, math.ceil(math.log2(peak))) if peak > 0.0 else 0
-    step = 2.0 ** (-(total_bits - integer_bits - 1))
-    limit = 2.0**integer_bits - step
-    values = np.clip(np.round(r / step) * step, -limit, limit)
+    values, formats = _quantize_rows(r.reshape(1, r.size), total_bits)
+    if isinstance(formats[0], ParameterError):
+        raise formats[0]
+    integer_bits, step = formats[0]
     return QuantizedResidual(
-        total_bits=total_bits, integer_bits=integer_bits, step=step, values=values
+        total_bits=total_bits, integer_bits=integer_bits, step=step,
+        values=values.reshape(r.shape),
     )
+
+
+def _quantize_rows(residuals, total_bits: int):
+    """quantize_residual of each row of a (C, n) stack, with its bits:
+    (values, formats), formats[c] holding row c's (integer_bits, step) or
+    the ParameterError quantize_residual raises for it, in which case the
+    row's values are zeros."""
+    formats = []
+    for peak in np.abs(residuals).max(axis=1, initial=0.0).tolist():
+        if not math.isfinite(peak):
+            formats.append(ParameterError(f"residual peak {peak} is not finite"))
+        elif peak >= 2.0**_MAX_INTEGER_BITS:
+            formats.append(ParameterError(
+                f"residual peak {peak:.3e} is beyond the quantizer's range"))
+        else:
+            integer_bits = max(0, math.ceil(math.log2(peak))) if peak > 0.0 else 0
+            formats.append((integer_bits, 2.0 ** (-(total_bits - integer_bits - 1))))
+    scales = [(f[1], 2.0 ** f[0] - f[1]) if isinstance(f, tuple) else (1.0, 0.0)
+              for f in formats]
+    step, limit = np.reshape(scales, (-1, 2)).T[:, :, None]
+    values = np.clip(np.round(residuals / step) * step, -limit, limit)
+    return values, formats
+
+
+def _row_rnmse(estimates, references) -> np.ndarray:
+    """rnmse of each row of estimates against its row of references, the
+    two broadcast together, with rnmse's bits: both norms take one BLAS dot
+    per contiguous row, as np.linalg.norm does for one vector (a strided row
+    would sum in another order). Non-finite values give non-finite errors
+    without a warning."""
+    references = np.ascontiguousarray(references)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.ascontiguousarray(estimates - references)
+        return np.sqrt(np.vecdot(dev, dev)) / np.sqrt(np.vecdot(references, references))
 
 
 @dataclass(frozen=True)
@@ -263,13 +310,18 @@ class PredictionResult:
     iterate_index: int
 
 
+def _backward_coefficients(a, b) -> np.ndarray:
+    """a - b, padded to the longer of the two: the backward filter's
+    denominator, for one filter or for coefficient rows of several."""
+    c = np.zeros(a.shape[:-1] + (max(a.shape[-1], b.shape[-1]),))
+    c[..., : a.shape[-1]] += a
+    c[..., : b.shape[-1]] -= b
+    return c
+
+
 def _backward_filter(filt: ArmaFilter) -> ArmaFilter:
     """Filter implementing (I - g(S))^{-1}: denominator a - b, numerator a."""
-    m = max(len(filt.a), len(filt.b))
-    c = np.zeros(m)
-    c[: len(filt.a)] += filt.a
-    c[: len(filt.b)] -= filt.b
-    return ArmaFilter(a=c, b=filt.a.copy())
+    return ArmaFilter(a=_backward_coefficients(filt.a, filt.b), b=filt.a.copy())
 
 
 def predict(
@@ -292,67 +344,129 @@ def predict(
     _check_bits(bits)
     x = np.asarray(x, dtype=float)
     predictor = _Predictor(op)
-    return predictor.best(x, predictor.candidates(x, ar_order, ma_order), bits)
+    ((found,),) = predictor.best(predictor.candidates([(x, ar_order, ma_order)]), [bits])
+    return found
+
+
+@dataclass(frozen=True)
+class _Candidates:
+    """The design iterates of one prediction whose forward system solves,
+    one row each: index holds their positions in iterates, a their
+    denominators, residual x - a(S)^{-1} b(S) x, and back the backward
+    filters' a(S) - b(S)."""
+
+    x: np.ndarray
+    iterates: tuple
+    index: np.ndarray
+    a: np.ndarray
+    residual: np.ndarray
+    back: np.ndarray
 
 
 class _Predictor:
     """What the predictions on one operator share: its spectrum, and the
-    shift powers that every a(S) of the direct solves is summed from."""
+    shift powers that every a(S) of the direct solves is summed from.
+
+    Every stage runs once for all the predictions asked of it: one pass loop
+    designs them all, one stacked solve takes every forward system and one
+    every backward system, and each candidate gets the bits its own
+    design, solves and quantization give it."""
 
     def __init__(self, op: ShiftOperator):
         self.dec = eigendecompose(op)
         self.grid = spectrum_grid(self.dec)
         self.solver = _DirectSolver(op)
 
-    def candidates(self, x, ar_order: int, ma_order: int) -> list:
-        """Every design iterate with what each bit budget needs of it:
-        (index, filter, residual, backward filter, backward a(S)).
-
-        An iterate whose forward system is singular is left out.
-        """
-        problem = DesignProblem(
-            grid=self.grid,
-            h_hat=np.ones(self.grid.n, dtype=complex),
-            ar_order=ar_order,
-            ma_order=ma_order,
-            weights=np.abs(gft(self.dec, x)),
-            constrain_b0_zero=True,
+    def candidates(self, jobs) -> list:
+        """The _Candidates of each (x, ar_order, ma_order) job. An iterate
+        whose forward system is singular is left out."""
+        if not jobs:
+            return []
+        problems = [
+            DesignProblem(
+                grid=self.grid,
+                h_hat=np.ones(self.grid.n, dtype=complex),
+                ar_order=ar_order,
+                ma_order=ma_order,
+                weights=np.abs(gft(self.dec, x)),
+                constrain_b0_zero=True,
+            )
+            for x, ar_order, ma_order in jobs
+        ]
+        reports = _iterative_designs([(p, None) for p in problems], _PREDICT_TAU)
+        coeffs = [(np.array([f.a for f in rep.iterate_filters]),
+                   np.array([f.b for f in rep.iterate_filters])) for rep in reports]
+        forward, solved = self.solver.solve_each(
+            np.concatenate([self.solver.ar_matrix(a) for a, _ in coeffs]),
+            np.concatenate([self.solver.numerators(b, x) for (_, b), (x, _, _)
+                            in zip(coeffs, jobs)]),
         )
-        report = iterative_design(problem, tau=_PREDICT_TAU)
         out = []
-        for idx, filt in enumerate(report.iterate_filters):
-            try:
-                forward = self.solver.solve(self.solver.ar_matrix(filt.a), filt.b, x)
-            except SingularSystemError:
-                continue
-            back = _backward_filter(filt)
-            out.append((idx, filt, x - forward, back, self.solver.ar_matrix(back.a)))
+        start = 0
+        for (x, _, _), report, (a, b) in zip(jobs, reports, coeffs):
+            stop = start + len(a)
+            keep = np.flatnonzero(solved[start:stop])
+            a, b = a[keep], b[keep]
+            out.append(_Candidates(
+                x=x, iterates=report.iterate_filters, index=keep, a=a,
+                residual=x - forward[start:stop][keep],
+                back=self.solver.ar_matrix(_backward_coefficients(a, b)),
+            ))
+            start = stop
         return out
 
-    def best(self, x, candidates, bits: int) -> PredictionResult:
-        """The candidate whose quantized reconstruction at bits is best."""
-        best = None
-        for idx, filt, residual, back, back_matrix in candidates:
-            quantized = quantize_residual(residual, bits)
-            try:
-                x_tilde = self.solver.solve(back_matrix, back.b, quantized.values)
-            except SingularSystemError:
-                continue
-            err = rnmse(x_tilde, x)
-            if not math.isfinite(err):
-                continue
-            if best is None or err < best.rnmse:
-                best = PredictionResult(
-                    filter=filt,
-                    reconstructed=x_tilde,
-                    rnmse=err,
-                    residual=residual,
-                    quantized=quantized,
+    def best(self, candidates, bit_values) -> list:
+        """Per _Candidates, per bit budget, the PredictionResult of the
+        candidate whose quantized reconstruction is best: the first with the
+        lowest finite RNMSE. A candidate whose residual cannot be quantized
+        or whose backward system is singular is skipped; SingularSystemError
+        when none is left."""
+        if not candidates or not bit_values:
+            return [[] for _ in candidates]
+        quantized = []  # per job, per bit budget: _quantize_rows of its residuals
+        numerators = []
+        for cands in candidates:
+            found = [_quantize_rows(cands.residual, bits) for bits in bit_values]
+            quantized.append(found)
+            values = np.concatenate([v for v, _ in found])
+            z = self.solver.numerators(np.tile(cands.a, (len(bit_values), 1)), values)
+            numerators.append(z.reshape(len(bit_values), *cands.residual.shape).swapaxes(0, 1))
+        x_tilde, solved = self.solver.solve_each(
+            np.concatenate([cands.back for cands in candidates])[:, None],
+            np.concatenate(numerators),
+        )
+        signals = np.concatenate(
+            [np.broadcast_to(cands.x, cands.residual.shape) for cands in candidates])
+        errs = _row_rnmse(x_tilde, signals[:, None])
+        out = []
+        start = 0
+        for cands, found in zip(candidates, quantized):
+            stop = start + len(cands.a)
+            results = []
+            for b, (bits, (values, formats)) in enumerate(zip(bit_values, found)):
+                err = errs[start:stop, b]
+                usable = solved[start:stop, b] & np.isfinite(err)
+                usable &= [not isinstance(f, ParameterError) for f in formats]
+                if not usable.any():
+                    raise SingularSystemError(
+                        "no design iterate produced a solvable backward filter")
+                i = int(np.argmin(np.where(usable, err, np.inf)))
+                integer_bits, step = formats[i]
+                idx = int(cands.index[i])
+                results.append(PredictionResult(
+                    filter=cands.iterates[idx],
+                    reconstructed=x_tilde[start + i, b].copy(),
+                    rnmse=float(err[i]),
+                    residual=cands.residual[i],
+                    quantized=QuantizedResidual(
+                        total_bits=bits, integer_bits=integer_bits, step=step,
+                        values=values[i],
+                    ),
                     iterate_index=idx,
-                )
-        if best is None:
-            raise SingularSystemError("no design iterate produced a solvable backward filter")
-        return best
+                ))
+            out.append(results)
+            start = stop
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,20 +768,23 @@ def interpolation_study(
 
     Every trial shapes a fresh smooth signal, adds Gaussian noise, hides a
     random node subset, and solves the interpolation system with CG. The K
-    column of the report carries the known percentage.
+    column of the report carries the known percentage. All trials of one
+    prior weight are drawn first and solved in one block CG call, with one
+    column per (trial, known percentage).
     """
     n = _GRAPH_NODES
     _, undirected = experiment_graphs(seed=seed)
     op = normalize(undirected, NORMALIZED_LAPLACIAN)
     dec = eigendecompose(op)
+    rank = _shared_rank(dec, op.kind)
     n_comp, labels = csgraph.connected_components(op.matrix, directed=False)
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(_NOISE_VARIANCE)
     rows = []
     for omega in _OMEGAS:
-        per_frac = {frac: [] for frac in known_fracs}
+        signals, masks, observed = [], [], []
         for _ in range(trials):
-            x = smooth_signal(dec, op.kind, rng)
+            x = _shaped_signal(dec, rank, rng)
             noisy = x + rng.normal(0.0, sigma, n)
             for frac in known_fracs:
                 count = max(1, round(frac * n))
@@ -676,23 +793,28 @@ def interpolation_study(
                         f"{count} known nodes cannot cover {n_comp} components"
                     )
                 # a draw that leaves a component unobserved makes the
-                # interpolation system singular: draw again
+                # interpolation system singular: draw again (any draw
+                # observes a connected graph)
                 known = rng.permutation(n)[:count]
-                while np.unique(labels[known]).size < n_comp:
+                while n_comp > 1 and np.unique(labels[known]).size < n_comp:
                     known = rng.permutation(n)[:count]
                 mask = np.zeros(n, dtype=bool)
                 mask[known] = True
-                task = InterpolationTask(mask=mask, omega=omega)
-                observed = np.where(mask, noisy, 0.0)
-                x_tilde, _ = _interpolation_solve(op, observed, task, _INTERPOLATION_CG)
-                per_frac[frac].append(rnmse(x_tilde, x))
-        for frac in known_fracs:
+                signals.append(x)
+                masks.append(mask)
+                observed.append(np.where(mask, noisy, 0.0))
+        x_tilde, _ = _interpolation_solve(
+            op, np.reshape(observed, (-1, n)).T, np.reshape(masks, (-1, n)).T, omega,
+            _INTERPOLATION_CG,
+        )
+        errs = _row_rnmse(x_tilde.T, np.reshape(signals, (-1, n))).tolist()
+        for f, frac in enumerate(known_fracs):
             rows.append(
                 ReportRow(
                     experiment="interpolation",
                     k=round(100 * frac), ar_order=0, ma_order=0,
                     method=f"arma-cg-omega-{omega:g}",
-                    values=tuple(per_frac[frac]), seed=seed,
+                    values=tuple(errs[f::len(known_fracs)]), seed=seed,
                 )
             )
     return ExperimentReport(rows=tuple(rows))
@@ -713,7 +835,8 @@ def compression_study(
     dec = eigendecompose(op)
     grid = spectrum_grid(dec)
     rng = np.random.default_rng(seed)
-    signals = [smooth_signal(dec, op.kind, rng) for _ in range(trials)]
+    rank = _shared_rank(dec, op.kind)
+    signals = [_shaped_signal(dec, rank, rng) for _ in range(trials)]
     # one row per trial; with no trials still a (0, N) stack, not one empty target
     spectra = np.array([gft(dec, x) for x in signals]).reshape(len(signals), grid.n)
     tables = order_search_table(
@@ -750,7 +873,9 @@ def prediction_study(
     """Prediction-plus-quantization error on the directed geometric graph,
     over filter orders and bit budgets.
 
-    Each (K, trial) designs once for every bit budget.
+    Each (K, trial) designs once for every bit budget. The designs of all
+    (K, trial) share one pass loop, and each stage of direct solves, forward
+    and backward, is one stacked solve (_Predictor).
     """
     for bits in bit_values:
         _check_bits(bits)
@@ -758,24 +883,22 @@ def prediction_study(
     op = normalize(directed, NORMALIZED_ADJACENCY)
     predictor = _Predictor(op)
     rng = np.random.default_rng(seed)
+    rank = _shared_rank(predictor.dec, op.kind)
     signals = [
-        smooth_signal(predictor.dec, op.kind, rng, profile="decay") for _ in range(trials)
+        _shaped_signal(predictor.dec, rank, rng, profile="decay") for _ in range(trials)
     ]
+    orders = [(k // 2, k - k // 2) for k in k_values]
+    jobs = [(x, p, q) for p, q in orders for x in signals]
+    found = iter(predictor.best(predictor.candidates(jobs), bit_values))
     rows = []
-    for k in k_values:
-        ar_order = k // 2
-        ma_order = k - ar_order
-        errs = [[] for _ in bit_values]
-        for x in signals:
-            candidates = predictor.candidates(x, ar_order, ma_order)
-            for bits, errs_bits in zip(bit_values, errs):
-                errs_bits.append(predictor.best(x, candidates, bits).rnmse)
-        for bits, errs_bits in zip(bit_values, errs):
+    for k, (ar_order, ma_order) in zip(k_values, orders):
+        per_trial = [next(found) for _ in signals]  # per trial: one result per bit budget
+        for b, bits in enumerate(bit_values):
             rows.append(
                 ReportRow(
                     experiment="prediction-directed", k=k,
-                    ar_order=ar_order, ma_order=ma_order,
-                    method=f"arma-b{bits}", values=tuple(errs_bits), seed=seed,
+                    ar_order=ar_order, ma_order=ma_order, method=f"arma-b{bits}",
+                    values=tuple(results[b].rnmse for results in per_trial), seed=seed,
                 )
             )
     return ExperimentReport(rows=tuple(rows))

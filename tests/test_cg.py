@@ -7,6 +7,7 @@ from graphfilt import (
     ArmaFilter,
     CgConfig,
     CgTrace,
+    DimensionError,
     DivergenceError,
     ParameterError,
     arma_apply_cg,
@@ -204,6 +205,108 @@ class TestCgSolve:
         y, trace = cg_solve(lambda v: 2 * v, np.zeros(5), CgConfig())
         assert trace.converged
         assert np.array_equal(y, np.zeros(5))
+
+
+def columnwise(ops):
+    """A block operator whose column j is ops[j] applied to that column
+    alone, on a contiguous copy, so a column of a block solve sees the
+    products its solo solve sees."""
+    def apply(block):
+        return np.stack([op(np.ascontiguousarray(block[:, j])) for j, op in enumerate(ops)],
+                        axis=1)
+    return apply
+
+
+def assert_solo_bits(ops, rhs, cfg):
+    """Each column of a block solve equals its solo solve bit for bit."""
+    y, traces = cg_solve(columnwise(ops), rhs, cfg)
+    assert y.shape == rhs.shape and len(traces) == rhs.shape[1]
+    for j, op in enumerate(ops):
+        solo_y, solo = cg_solve(op, rhs[:, j].copy(), cfg)
+        assert np.array_equal(y[:, j], solo_y)
+        assert (traces[j].iterations, traces[j].converged) == (solo.iterations, solo.converged)
+        assert traces[j].residual_norms == solo.residual_norms
+    return traces
+
+
+class TestBlockCgSolve:
+    """A block of right sides: each column runs its own recursion and gets
+    the bits of its solo solve; a column that stops is frozen."""
+
+    n = 12
+
+    def diagonal(self, values):
+        values = np.asarray(values, dtype=float)
+        return lambda v: values * v
+
+    def test_columns_stop_at_their_own_iterations(self):
+        rng = np.random.default_rng(3)
+        n = self.n
+        ops = [
+            self.diagonal(np.linspace(1.0, 2.0, n)),     # converges quickly
+            self.diagonal(np.geomspace(1.0, 1e3, n)),    # needs more iterations
+            self.diagonal(np.full(n, 4.0)),              # one iteration
+            self.diagonal(np.linspace(1.0, 2.0, n)),     # zero right side
+        ]
+        rhs = rng.standard_normal((n, len(ops)))
+        rhs[:, 3] = 0.0
+        traces = assert_solo_bits(ops, rhs, CgConfig(epsilon=1e-8, max_iterations=50))
+        iterations = [t.iterations for t in traces]
+        assert len(set(iterations[:3])) == 3
+        assert iterations[2] == 1 and iterations[3] == 0
+        assert all(t.converged for t in traces)
+
+    def test_iteration_cap_and_zero_curvature(self):
+        n = self.n
+        indefinite = np.ones(n)
+        indefinite[1] = -1.0
+        ops = [
+            self.diagonal(np.geomspace(1.0, 1e4, n)),    # stopped by the cap
+            self.diagonal(indefinite),                   # d^T P d = 0 at once
+            self.diagonal(np.linspace(1.0, 2.0, n)),
+        ]
+        rhs = np.random.default_rng(4).standard_normal((n, len(ops)))
+        rhs[:, 1] = 0.0
+        rhs[:2, 1] = 1.0
+        cfg = CgConfig(epsilon=1e-12, max_iterations=6)
+        capped, flat, _ = assert_solo_bits(ops, rhs, cfg)
+        assert capped.iterations == 6 and not capped.converged
+        assert flat.iterations == 0 and not flat.converged
+
+    def test_one_diverging_column_raises_with_its_trace(self):
+        n = self.n
+        matrix = np.eye(n) + np.triu(np.full((n, n), 2.0), 1)
+        ops = [self.diagonal(np.linspace(1.0, 2.0, n)), lambda v: matrix @ v]
+        rhs = np.random.default_rng(0).standard_normal((n, 2))
+        cfg = CgConfig(epsilon=1e-8, max_iterations=60)
+        with pytest.raises(DivergenceError) as solo:
+            cg_solve(ops[1], rhs[:, 1].copy(), cfg)
+        with pytest.raises(DivergenceError) as block:
+            cg_solve(columnwise(ops), rhs, cfg)
+        assert block.value.trace.residual_norms == solo.value.trace.residual_norms
+        assert block.value.trace.iterations == solo.value.trace.iterations
+
+    def test_shift_operator_block_matches_solo_solves(self):
+        # the interpolation system with a mask per column: one block shift
+        # product per iteration (scipy), 1-D products (numpy) alone
+        op = er_op(40, 0.15, 5)
+        rng = np.random.default_rng(6)
+        masks = (rng.random((op.n, 5)) < 0.4).astype(float)
+        masks[0] = 1.0
+        rhs = masks * rng.standard_normal((op.n, 5))
+        cfg = CgConfig(epsilon=1e-6, max_iterations=40)
+        y, traces = cg_solve(lambda v: masks * v + 1.5 * graphs.shift_apply(op, v), rhs, cfg)
+        for j in range(5):
+            m = masks[:, j].copy()
+            solo_y, solo = cg_solve(lambda v: m * v + 1.5 * graphs.shift_apply(op, v),
+                                    rhs[:, j].copy(), cfg)
+            assert np.array_equal(y[:, j], solo_y)
+            assert traces[j].residual_norms == solo.residual_norms
+            assert traces[j].converged == solo.converged
+
+    def test_block_takes_no_shared_trace(self):
+        with pytest.raises(DimensionError):
+            cg_solve(lambda v: v, np.ones((3, 2)), CgConfig(), trace=CgTrace())
 
 
 def test_trace_csv(tmp_path):

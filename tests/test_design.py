@@ -1173,3 +1173,51 @@ class TestStallRule:
         assert got.rnmse_true == pytest.approx(0.38813, abs=5e-6)
         assert min(full) == pytest.approx(0.37903, abs=5e-6)
         assert got.rnmse_true <= 1.025 * min(full)
+
+
+class TestRunsWithTheirOwnWeights:
+    """Runs whose problems weigh the grid differently share one pass loop:
+    _Target.rows stacks their weights as rows, as it stacks the targets, and
+    each run gets what its loop alone gives it. These are the prediction
+    study's designs (h = 1, b0 pinned, weights |x_hat| of each signal), plus
+    a compression target without weights."""
+
+    @staticmethod
+    def problems():
+        grid, spectra = spectrum_targets(3)
+        ones = np.ones(grid.n, dtype=complex)
+        cases = [(ones, np.abs(x_hat)) for x_hat in spectra] + [(spectra[0], None)]
+        return [
+            DesignProblem(grid=grid, h_hat=h, ar_order=p, ma_order=q, weights=w,
+                          constrain_b0_zero=True)
+            for h, w in cases
+            for p, q in [(1, 2), (2, 2), (3, 3)]
+        ]
+
+    @pytest.mark.parametrize("patience", [None, design._PATIENCE])
+    def test_each_run_gets_its_lone_loop(self, patience):
+        fused = [design._Run.start(problem, None) for problem in self.problems()]
+        alone = [design._Run.start(problem, None) for problem in self.problems()]
+        design._iterate(fused, 20, patience)
+        iterate_alone(alone, 20, patience)
+        for got, want in zip(fused, alone):
+            assert_same_run(got, want)
+        # runs leave the loop at different passes, so the stacked weights
+        # are cut down with the other rows
+        assert len({len(run.history) for run in fused}) > 1
+
+    def test_weights_are_stacked_only_when_they_differ(self):
+        unweighted = [design._Target.of(lowpass_problem(2, 3)),
+                      design._Target.of(lowpass_problem(2, 3)._at_orders(1, 1))]
+        assert design._Target.rows(unweighted).weights is None
+        problems = self.problems()
+        rows = design._Target.rows([design._Target.of(p) for p in problems])
+        assert rows.weights.shape == rows.h.shape
+        # a complex target holds pair weights even when its problem has none
+        assert np.array_equal(rows.weights[-1], design._Target.of(problems[-1]).weights)
+
+    def test_iterative_designs_equal_iterative_design(self):
+        problems = self.problems()
+        fused = design._iterative_designs([(problem, None) for problem in problems], 20)
+        for got, problem in zip(fused, problems):
+            assert_same_report(got, iterative_design(problem, tau=20))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,22 @@ class TestQuantizer:
         with pytest.raises(ParameterError):
             quantize_residual(np.ones(3), 2)
 
+    @pytest.mark.parametrize("bad, match", [
+        (np.inf, "peak inf is not finite"),      # was OverflowError from math.ceil
+        (-np.inf, "peak inf is not finite"),
+        (np.nan, "peak nan is not finite"),      # was integer_bits 0, silently
+        (1.5 * 2.0**1023, "beyond the quantizer's range"),  # was OverflowError from 2.0**1024
+        (np.finfo(float).max, "beyond the quantizer's range"),
+    ])
+    def test_residual_without_a_format_rejected(self, bad, match):
+        with pytest.raises(ParameterError, match=match):
+            quantize_residual(np.array([0.5, bad, -1.0]), 8)
+
+    def test_largest_format_below_the_limit(self):
+        q = quantize_residual(np.array([2.0**1022, -3.0]), 16)
+        assert q.integer_bits == 1022
+        assert q.values[0] == 2.0**1022 - q.step
+
 
 class TestPrediction:
     def test_reconstruction_error_non_increasing_in_bits_for_fixed_filter(self):
@@ -256,6 +274,52 @@ class TestPrediction:
             predict(op, np.ones(op.n), 1, 2, 2)
         with pytest.raises(ParameterError, match="bit budget of at least 3 bits, got 1"):
             prediction_study(k_values=(3,), bit_values=(3, 1), trials=1)
+
+    def test_candidates_without_a_quantized_residual_are_skipped(self):
+        predictor = experiments._Predictor(adjacency_op())
+        x = smooth_signal(predictor.dec, NORMALIZED_ADJACENCY, np.random.default_rng(11),
+                          profile="decay")
+        (cands,) = predictor.candidates([(x, 1, 2)])
+        (want,) = predictor.best([cands], [7])[0]
+        i = int(np.flatnonzero(cands.index == want.iterate_index)[0])
+        for bad in (np.inf, np.nan, 1.5 * 2.0**1023):
+            residual = cands.residual.copy()
+            residual[i, 3] = bad
+            (got,) = predictor.best([replace(cands, residual=residual)], [7])[0]
+            (rest,) = predictor.best([without_rows(cands, [i])], [7])[0]
+            assert got.iterate_index != want.iterate_index
+            assert_same_prediction(got, rest)
+        poisoned = replace(cands, residual=np.full(cands.residual.shape, np.nan))
+        with pytest.raises(SingularSystemError, match="no design iterate"):
+            predictor.best([poisoned], [7])
+
+    def test_singular_backward_system_leaves_the_others_bits(self):
+        # one singular a(S) makes the stacked solve raise; the systems are
+        # then solved one by one, and every other candidate keeps its bits
+        predictor = experiments._Predictor(adjacency_op())
+        rng = np.random.default_rng(12)
+        xs = [smooth_signal(predictor.dec, NORMALIZED_ADJACENCY, rng, profile="decay")
+              for _ in range(2)]
+        cands = predictor.candidates([(xs[0], 1, 2), (xs[1], 2, 2)])
+        want = predictor.best([without_rows(cands[0], [0]), cands[1]], [3, 16])
+        back = cands[0].back.copy()
+        back[0] = 0.0
+        got = predictor.best([replace(cands[0], back=back), cands[1]], [3, 16])
+        for got_job, want_job in zip(got, want):
+            for g, w in zip(got_job, want_job):
+                assert_same_prediction(g, w)
+
+    def test_solve_each_marks_singular_systems(self):
+        rng = np.random.default_rng(13)
+        matrices = rng.standard_normal((4, 6, 6))
+        matrices[2] = 0.0
+        z = rng.standard_normal((4, 3, 6))
+        y, solved = experiments._DirectSolver.solve_each(matrices[:, None], z)
+        assert solved.tolist() == [[True] * 3, [True] * 3, [False] * 3, [True] * 3]
+        assert np.isnan(y[2]).all()
+        for c in (0, 1, 3):
+            for b in range(3):
+                assert np.array_equal(y[c, b], np.linalg.solve(matrices[c], z[c, b]))
 
     def test_study_rows_decrease_in_bits(self):
         report = prediction_study(k_values=(3,), bit_values=(3, 7), trials=3, seed=5)
@@ -388,6 +452,22 @@ class TestUniversalStudy:
 
 
 
+def without_rows(cands, rows):
+    """A candidate set with some rows left out."""
+    keep = np.setdiff1d(np.arange(len(cands.index)), rows)
+    return replace(cands, index=cands.index[keep], a=cands.a[keep],
+                   residual=cands.residual[keep], back=cands.back[keep])
+
+
+def assert_same_prediction(got, want):
+    assert got.iterate_index == want.iterate_index
+    assert got.rnmse == want.rnmse
+    assert np.array_equal(got.reconstructed, want.reconstructed)
+    assert np.array_equal(got.quantized.values, want.quantized.values)
+    assert (got.quantized.integer_bits, got.quantized.step) == (
+        want.quantized.integer_bits, want.quantized.step)
+
+
 def csv_text(report, path):
     report.to_csv(path)
     return path.read_text()
@@ -425,3 +505,21 @@ class TestStudiesMatchReferenceLoops:
         got = interpolation_study(known_fracs=(0.1, 0.5), trials=3, seed=6)
         want = reference_interpolation_study((0.1, 0.5), 3, 6)
         assert csv_text(got, tmp_path / "a.csv") == csv_text(want, tmp_path / "b.csv")
+
+
+@pytest.mark.parametrize("study, kwargs", [
+    (interpolation_study, dict(known_fracs=(0.1, 0.5), trials=3)),
+    (compression_study, dict(k_values=(2,), trials=3)),
+    (prediction_study, dict(k_values=(3,), bit_values=(3,), trials=3)),
+])
+def test_studies_rank_the_frequencies_once(monkeypatch, study, kwargs):
+    calls = []
+    order = experiments.order_frequencies
+
+    def counted(dec, op_kind):
+        calls.append(op_kind)
+        return order(dec, op_kind)
+
+    monkeypatch.setattr(experiments, "order_frequencies", counted)
+    study(**kwargs)
+    assert len(calls) == 1
