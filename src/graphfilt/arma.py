@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import _poly_sum, _shift_powers, filter_payload, poly_apply, vandermonde
+from .fir import _poly_sum, _shift_powers, filter_payload, vandermonde
 from .graphs import ShiftOperator
 from .spectral import FrequencyGrid
 
@@ -104,7 +104,11 @@ def arma_apply_direct(filt: ArmaFilter, op: ShiftOperator, x) -> np.ndarray:
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
     solver = _DirectSolver(op)
-    return solver.solve(solver.ar_matrix(filt.a), filt.b, x)
+    (y,), (solved,) = solver.solve_each(
+        solver.ar_matrix(filt.a), solver.numerators(filt.b[None], x))
+    if not solved:
+        raise SingularSystemError("AR polynomial matrix is singular")
+    return y
 
 
 class _DirectSolver:
@@ -140,14 +144,6 @@ class _DirectSolver:
         if x.ndim == 1:
             return _poly_sum(b.T[:, :, None], _shift_powers(self.op, x))
         return _poly_sum(b.T[:, None, :], _shift_powers(self.op, x.T)).T
-
-    def solve(self, ar_matrix, b, x) -> np.ndarray:
-        """a(S)^{-1} b(S) x, for ar_matrix = a(S)."""
-        z = poly_apply(b, self.op, x)
-        try:
-            return np.linalg.solve(ar_matrix, z)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("AR polynomial matrix is singular") from exc
 
     @staticmethod
     def solve_each(ar_matrices, z):

@@ -58,11 +58,11 @@ def cg_solve(apply_op, rhs, cfg: CgConfig, trace: CgTrace | None = None, residua
     column, and a list of m traces comes back, one per column; trace must
     then be None. Each column runs its own recursion: its own step sizes,
     stop test, zero-curvature break and divergence streak. A column that has
-    stopped is frozen. Updates are elementwise and each column's dot
-    products take one BLAS call on its contiguous copy (_dots), so a column
-    gets the y, iterations, residual history and converged flag of its
-    system solved alone, given an apply_op that gives each column of a block
-    the bits it gives that column alone.
+    stopped is frozen and leaves the working arrays, which hold one system
+    per contiguous row, so each dot product is one BLAS dot and the updates
+    are elementwise: a column gets the y, iterations, residual history and
+    converged flag of its system solved alone, given an apply_op that gives
+    each column of a block the bits it gives that column alone.
 
     residual0, when given, is the precomputed initial residual (used by the
     normal-equations path, whose residual is cheaper to form directly).
@@ -76,57 +76,67 @@ def cg_solve(apply_op, rhs, cfg: CgConfig, trace: CgTrace | None = None, residua
     if rhs.ndim == 1:
         traces = [CgTrace() if trace is None else trace]
 
-        def apply_block(v):
-            return apply_op(v[:, 0])[:, None]
+        def apply_rows(v):
+            return apply_op(v[0])[None]
     elif rhs.ndim == 2 and trace is None:
         traces = [CgTrace() for _ in range(rhs.shape[1])]
-        apply_block = apply_op
+
+        def apply_rows(v):
+            return np.ascontiguousarray(apply_op(v.T).T)
     else:
         raise DimensionError("need one right-hand side, or a block of them without a trace")
-    shape = (len(rhs), len(traces))
     y = np.zeros(rhs.shape) if cfg.y0 is None else np.asarray(cfg.y0, dtype=float)
     if y.shape != rhs.shape:
         raise DimensionError("initial guess length does not match right-hand side")
-    y = y.reshape(shape).copy()
-
+    # every array below holds one system per row: (m, n)
+    y = np.array(y.T, order="C", ndmin=2)
     if residual0 is None:
-        r = rhs.reshape(shape) - apply_block(y)
+        r = np.array(rhs.T, order="C", ndmin=2) - apply_rows(y)
     else:
-        r = np.asarray(residual0, dtype=float).reshape(shape).copy()
+        r = np.array(np.asarray(residual0, dtype=float).T, order="C", ndmin=2)
     d = r.copy()
-    delta0 = _dots(r, r)
-    delta_new = delta0.copy()
-    # per column, as Python floats: the stop and divergence thresholds
-    tolerance = (cfg.epsilon**2 * delta0).tolist()
-    blowup = ((_DIVERGENCE_FACTOR**2) * delta0).tolist()
+    delta = np.vecdot(r, r)
+    # per column, as Python floats: the stop and divergence thresholds, and
+    # the last squared residual
+    tolerance = (cfg.epsilon**2 * delta).tolist()
+    blowup = ((_DIVERGENCE_FACTOR**2) * delta).tolist()
+    last = delta.tolist()
     streak = [0] * len(traces)
-    for t, delta in zip(traces, delta0.tolist()):
-        t.residual_norms.append(math.sqrt(delta))
+    for t, delta_j in zip(traces, last):
+        t.residual_norms.append(math.sqrt(delta_j))
 
-    live = [j for j, delta in enumerate(delta0.tolist()) if delta > tolerance[j]]
-    cols = _columns(live, len(traces))
+    y_all, d_all = y, d  # all columns; y, r, d and delta hold the live ones
+    live = list(range(len(traces)))
+    keep = [j for j in live if last[j] > tolerance[j]]
+    if len(keep) < len(live):
+        live, (y, r, d, delta) = _freeze(y_all, live, keep, y, r, d, delta)
     i = 0
     while i < cfg.max_iterations and live:
-        p_d = apply_block(d)
-        curvature = _dots(d[:, cols], p_d[:, cols])
+        if d is d_all:
+            p_d = apply_rows(d)
+        else:
+            d_all[live] = d
+            p_d = apply_rows(d_all)[live]
+        curvature = np.vecdot(d, p_d)
         if 0.0 in curvature.tolist():  # d^T P d = 0: those columns stop here
-            moving = curvature != 0.0
-            live = [j for j, keep in zip(live, moving.tolist()) if keep]
+            live, (y, r, d, delta, p_d, curvature) = _freeze(
+                y_all, live, np.flatnonzero(curvature).tolist(), y, r, d, delta, p_d, curvature)
             if not live:
                 break
-            cols, curvature = _columns(live, len(traces)), curvature[moving]
-        omega = delta_new[cols] / curvature
-        y[:, cols] += omega * d[:, cols]
-        r[:, cols] -= omega * p_d[:, cols]
-        delta = _dots(r[:, cols], r[:, cols])
-        d[:, cols] = r[:, cols] + (delta / delta_new[cols]) * d[:, cols]
-        delta_new[cols] = delta
+        omega = (delta / curvature)[:, None]
+        y += omega * d
+        r -= omega * p_d
+        delta_next = np.vecdot(r, r)
+        d *= (delta_next / delta)[:, None]
+        d += r
+        delta = delta_next
         i += 1
-        deltas = delta.tolist()
-        for j, delta_j in zip(live, deltas):
+        keep = []
+        for k, (j, delta_j) in enumerate(zip(live, delta.tolist())):
             t = traces[j]
             t.iterations = i
             t.residual_norms.append(math.sqrt(delta_j))
+            last[j] = delta_j
             streak[j] = streak[j] + 1 if delta_j > blowup[j] else 0
             if streak[j] >= _DIVERGENCE_STREAK:
                 raise DivergenceError(
@@ -134,27 +144,26 @@ def cg_solve(apply_op, rhs, cfg: CgConfig, trace: CgTrace | None = None, residua
                     f"{_DIVERGENCE_STREAK} iterations",
                     trace=t,
                 )
-        going = [j for j, delta_j in zip(live, deltas) if delta_j > tolerance[j]]
-        if len(going) < len(live):
-            live, cols = going, _columns(going, len(traces))
-    for t, delta, tol in zip(traces, delta_new.tolist(), tolerance):
-        t.converged = delta <= tol
+            if delta_j > tolerance[j]:
+                keep.append(k)
+        if len(keep) < len(live):
+            live, (y, r, d, delta) = _freeze(y_all, live, keep, y, r, d, delta)
+    if y is not y_all:
+        y_all[live] = y
+    for t, delta_j, tol in zip(traces, last, tolerance):
+        t.converged = delta_j <= tol
     if rhs.ndim == 1:
-        return y[:, 0], traces[0]
-    return y, traces
+        return y_all[0], traces[0]
+    return np.ascontiguousarray(y_all.T), traces
 
 
-def _columns(live: list, m: int):
-    """An index for the live columns of an (n, m) block: a slice while all
-    are live, so that the updates run on whole arrays."""
-    return slice(None) if len(live) == m else np.array(live, dtype=np.intp)
-
-
-def _dots(u, v) -> np.ndarray:
-    """Column-wise dot products of two (n, m) blocks: one BLAS dot per
-    column, on contiguous copies, so each column gets the bits of u @ v for
-    the 1-D column vectors."""
-    return np.vecdot(np.ascontiguousarray(u.T), np.ascontiguousarray(v.T))
+def _freeze(y_all, live: list, keep: list, y, *arrays):
+    """Stop the live columns whose positions are not in keep: their y goes
+    into y_all, and the rest's column numbers and rows of y and arrays come
+    back."""
+    if y is not y_all:
+        y_all[live] = y
+    return [live[k] for k in keep], [y[keep]] + [a[keep] for a in arrays]
 
 
 def arma_apply_cg(filt: ArmaFilter, op: ShiftOperator, x, cfg: CgConfig):

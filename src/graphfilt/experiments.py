@@ -78,6 +78,10 @@ _GRAPH_NEIGHBORS = 6
 _GRAPH_BOX = 3.0
 # Iterative-design passes of one prediction and of one compression candidate.
 _PREDICT_TAU = 20
+# the most matrix entries (2^18 floats, 2 MB) one stack of a(S) may hold:
+# the predictions run in batches of jobs whose _PREDICT_TAU + 1 iterates
+# fit, 12 jobs on the studies' 32-node graph
+_PREDICT_STACK_FLOATS = 2**18
 _COMPRESS_TAU = 12
 # Low-pass cutoff and ER(n, p) graphs of the universal and budgeted-CG
 # studies, and the budgeted-CG design grid size.
@@ -285,6 +289,7 @@ def _quantize_rows(residuals, total_bits: int):
               for f in formats]
     step, limit = np.reshape(scales, (-1, 2)).T[:, :, None]
     values = np.clip(np.round(residuals / step) * step, -limit, limit)
+    values[[isinstance(f, ParameterError) for f in formats]] = 0.0
     return values, formats
 
 
@@ -311,17 +316,13 @@ class PredictionResult:
 
 
 def _backward_coefficients(a, b) -> np.ndarray:
-    """a - b, padded to the longer of the two: the backward filter's
-    denominator, for one filter or for coefficient rows of several."""
+    """a - b, padded to the longer of the two: the denominator of the
+    backward filter (a - b, a), which applies (I - g(S))^{-1}, for one
+    filter or for coefficient rows of several."""
     c = np.zeros(a.shape[:-1] + (max(a.shape[-1], b.shape[-1]),))
     c[..., : a.shape[-1]] += a
     c[..., : b.shape[-1]] -= b
     return c
-
-
-def _backward_filter(filt: ArmaFilter) -> ArmaFilter:
-    """Filter implementing (I - g(S))^{-1}: denominator a - b, numerator a."""
-    return ArmaFilter(a=_backward_coefficients(filt.a, filt.b), b=filt.a.copy())
 
 
 def predict(
@@ -352,8 +353,8 @@ def predict(
 class _Candidates:
     """The design iterates of one prediction whose forward system solves,
     one row each: index holds their positions in iterates, a their
-    denominators, residual x - a(S)^{-1} b(S) x, and back the backward
-    filters' a(S) - b(S)."""
+    denominators, residual x - a(S)^{-1} b(S) x, and back the coefficients
+    a - b of the backward filters' denominators."""
 
     x: np.ndarray
     iterates: tuple
@@ -370,12 +371,21 @@ class _Predictor:
     Every stage runs once for all the predictions asked of it: one pass loop
     designs them all, one stacked solve takes every forward system and one
     every backward system, and each candidate gets the bits its own
-    design, solves and quantization give it."""
+    design, solves and quantization give it. results runs them over batches
+    of jobs, so that memory stays bounded however many jobs there are."""
 
     def __init__(self, op: ShiftOperator):
         self.dec = eigendecompose(op)
         self.grid = spectrum_grid(self.dec)
         self.solver = _DirectSolver(op)
+
+    def results(self, jobs, bit_values):
+        """Yield best(candidates(...), bit_values) job by job, run over
+        batches of the jobs in which every stack of a(S) holds at most
+        _PREDICT_STACK_FLOATS entries."""
+        size = max(1, _PREDICT_STACK_FLOATS // ((_PREDICT_TAU + 1) * self.solver.op.n**2))
+        for start in range(0, len(jobs), size):
+            yield from self.best(self.candidates(jobs[start:start + size]), bit_values)
 
     def candidates(self, jobs) -> list:
         """The _Candidates of each (x, ar_order, ma_order) job. An iterate
@@ -406,11 +416,10 @@ class _Predictor:
         for (x, _, _), report, (a, b) in zip(jobs, reports, coeffs):
             stop = start + len(a)
             keep = np.flatnonzero(solved[start:stop])
-            a, b = a[keep], b[keep]
             out.append(_Candidates(
-                x=x, iterates=report.iterate_filters, index=keep, a=a,
+                x=x, iterates=report.iterate_filters, index=keep, a=a[keep],
                 residual=x - forward[start:stop][keep],
-                back=self.solver.ar_matrix(_backward_coefficients(a, b)),
+                back=_backward_coefficients(a[keep], b[keep]),
             ))
             start = stop
         return out
@@ -432,7 +441,7 @@ class _Predictor:
             z = self.solver.numerators(np.tile(cands.a, (len(bit_values), 1)), values)
             numerators.append(z.reshape(len(bit_values), *cands.residual.shape).swapaxes(0, 1))
         x_tilde, solved = self.solver.solve_each(
-            np.concatenate([cands.back for cands in candidates])[:, None],
+            np.concatenate([self.solver.ar_matrix(cands.back) for cands in candidates])[:, None],
             np.concatenate(numerators),
         )
         signals = np.concatenate(
@@ -457,10 +466,10 @@ class _Predictor:
                     filter=cands.iterates[idx],
                     reconstructed=x_tilde[start + i, b].copy(),
                     rnmse=float(err[i]),
-                    residual=cands.residual[i],
+                    residual=cands.residual[i].copy(),
                     quantized=QuantizedResidual(
                         total_bits=bits, integer_bits=integer_bits, step=step,
-                        values=values[i],
+                        values=values[i].copy(),
                     ),
                     iterate_index=idx,
                 ))
@@ -875,7 +884,9 @@ def prediction_study(
 
     Each (K, trial) designs once for every bit budget. The designs of all
     (K, trial) share one pass loop, and each stage of direct solves, forward
-    and backward, is one stacked solve (_Predictor).
+    and backward, is one stacked solve (_Predictor), over batches of
+    (K, trial) that keep every stack at most 2 MB, so that memory does not
+    grow with the number of trials.
     """
     for bits in bit_values:
         _check_bits(bits)
@@ -889,16 +900,17 @@ def prediction_study(
     ]
     orders = [(k // 2, k - k // 2) for k in k_values]
     jobs = [(x, p, q) for p, q in orders for x in signals]
-    found = iter(predictor.best(predictor.candidates(jobs), bit_values))
+    # per job, one error per bit budget
+    errors = ([r.rnmse for r in results] for results in predictor.results(jobs, bit_values))
     rows = []
     for k, (ar_order, ma_order) in zip(k_values, orders):
-        per_trial = [next(found) for _ in signals]  # per trial: one result per bit budget
+        per_trial = [next(errors) for _ in signals]
         for b, bits in enumerate(bit_values):
             rows.append(
                 ReportRow(
                     experiment="prediction-directed", k=k,
                     ar_order=ar_order, ma_order=ma_order, method=f"arma-b{bits}",
-                    values=tuple(results[b].rnmse for results in per_trial), seed=seed,
+                    values=tuple(errs[b] for errs in per_trial), seed=seed,
                 )
             )
     return ExperimentReport(rows=tuple(rows))

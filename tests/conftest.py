@@ -323,6 +323,11 @@ def reference_iterative_design(problem, tau=50, patience=None):
 # ---------------------------------------------------------------------------
 
 
+def backward_filter(filt):
+    """The filter applying (I - g(S))^{-1}: denominator a - b, numerator a."""
+    return ArmaFilter(a=experiments._backward_coefficients(filt.a, filt.b), b=filt.a.copy())
+
+
 def reference_predict_rnmse(op, x, ar_order, ma_order, bits):
     """predict(...).rnmse with a fresh eigendecomposition and design, and
     arma_apply_direct for every forward and backward application."""
@@ -339,7 +344,7 @@ def reference_predict_rnmse(op, x, ar_order, ma_order, bits):
         try:
             residual = x - arma_apply_direct(filt, op, x)
             quantized = experiments.quantize_residual(residual, bits)
-            back = experiments._backward_filter(filt)
+            back = backward_filter(filt)
             x_tilde = arma_apply_direct(back, op, quantized.values)
         except (SingularSystemError, ParameterError):
             continue

@@ -20,7 +20,6 @@ from graphfilt import design, experiments
 from graphfilt.design import ideal_lowpass
 from graphfilt.experiments import (
     InterpolationTask,
-    _backward_filter,
     _budget_candidates,
     compress,
     compress_fir,
@@ -38,6 +37,7 @@ from graphfilt.graphs import NORMALIZED_ADJACENCY, NORMALIZED_LAPLACIAN
 from graphfilt.spectral import complex_disc_grid, uniform_real_grid
 
 from conftest import (
+    backward_filter,
     graph_from_rows,
     interpolation_matrix,
     reference_compression_study,
@@ -201,6 +201,14 @@ class TestQuantizer:
         with pytest.raises(ParameterError, match=match):
             quantize_residual(np.array([0.5, bad, -1.0]), 8)
 
+    def test_rows_without_a_format_quantize_to_zeros(self):
+        residuals = np.array([[0.5, np.nan, -1.0], [0.5, 0.25, -1.0], [np.inf, 0.0, 1.0]])
+        values, formats = experiments._quantize_rows(residuals, 8)
+        assert [isinstance(f, ParameterError) for f in formats] == [True, False, True]
+        assert np.array_equal(values[[0, 2]], np.zeros((2, 3)))
+        q = quantize_residual(residuals[1], 8)
+        assert np.array_equal(values[1], q.values) and formats[1] == (q.integer_bits, q.step)
+
     def test_largest_format_below_the_limit(self):
         q = quantize_residual(np.array([2.0**1022, -3.0]), 16)
         assert q.integer_bits == 1022
@@ -219,7 +227,7 @@ class TestPrediction:
         errs = []
         for bits in (4, 6, 8, 12):
             quantized = quantize_residual(residual, bits)
-            x_tilde = arma_apply_direct(_backward_filter(filt), op, quantized.values)
+            x_tilde = arma_apply_direct(backward_filter(filt), op, quantized.values)
             errs.append(rnmse(x_tilde, x))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -231,7 +239,7 @@ class TestPrediction:
         from graphfilt.arma import arma_apply_direct
 
         residual = x - arma_apply_direct(filt, op, x)
-        back = _backward_filter(filt)
+        back = backward_filter(filt)
         assert back.a[0] == 1.0
         recovered = arma_apply_direct(back, op, residual)
         assert np.linalg.norm(recovered - x) <= 1e-8 * np.linalg.norm(x)
@@ -251,7 +259,7 @@ class TestPrediction:
         quantized = quantize_residual(residual, 8)
         assert np.array_equal(quantized.values, np.zeros(2))
         with pytest.raises(SingularSystemError):
-            arma_apply_direct(_backward_filter(filt), op, quantized.values)
+            arma_apply_direct(backward_filter(filt), op, quantized.values)
 
     def test_predict_pipeline_chooses_finite_iterate(self):
         op = adjacency_op()
@@ -320,6 +328,25 @@ class TestPrediction:
         for c in (0, 1, 3):
             for b in range(3):
                 assert np.array_equal(y[c, b], np.linalg.solve(matrices[c], z[c, b]))
+
+    def test_study_runs_in_bounded_batches(self, monkeypatch):
+        # room for 25 a(S) per stack: one job (at most 21 iterates) per
+        # batch, each with its own pass loop and stacked solves, and the
+        # same rows
+        want = prediction_study(k_values=(3, 4), bit_values=(3, 16), trials=3, seed=5)
+        n = adjacency_op().n
+        monkeypatch.setattr(experiments, "_PREDICT_STACK_FLOATS", 25 * n * n)
+        sizes = []
+        solve_each = experiments._DirectSolver.solve_each
+
+        def recording(ar_matrices, z):
+            sizes.append(len(ar_matrices))
+            return solve_each(ar_matrices, z)
+
+        monkeypatch.setattr(experiments._DirectSolver, "solve_each", staticmethod(recording))
+        got = prediction_study(k_values=(3, 4), bit_values=(3, 16), trials=3, seed=5)
+        assert got == want
+        assert len(sizes) == 12 and max(sizes) <= 21
 
     def test_study_rows_decrease_in_bits(self):
         report = prediction_study(k_values=(3,), bit_values=(3, 7), trials=3, seed=5)
