@@ -48,6 +48,7 @@ from .graphs import (
     normalize,
     read_coords_csv,
     read_edge_csv,
+    read_id_table,
 )
 from .spectral import (
     complex_disc_grid,
@@ -92,20 +93,21 @@ def _atomic_writer(path: str, write_fn) -> None:
         raise
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
-    """Install --config JSON values as subcommand defaults.
+def _config_parser() -> argparse.ArgumentParser:
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument("--config", help="JSON config file of flag values")
+    return config
 
-    Values from the file act as defaults, so flags on the command line win,
-    and a flag the file supplies is no longer required on the command line.
-    Each value goes through its flag's type and choices, as the flag's text
-    on a command line would. Keys that match no flag of the invoked
-    subcommand are rejected.
+
+def _config_flags(argv) -> tuple:
+    """The --config JSON file in argv as (values, command-line flags).
+
+    A key names its flag with - for _: true becomes the bare switch, false
+    nothing, and any other string or number --flag=value.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    known, _ = _config_parser().parse_known_args(argv)
     if not known.config:
-        return
+        return {}, []
     with open(known.config) as fh:
         try:
             payload = json.load(fh)
@@ -113,27 +115,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
             raise CsvParseError(f"invalid config JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CsvParseError("config JSON must be an object")
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    command = next((t for t in argv if t in sub_action.choices), None)
-    target = parser if command is None else sub_action.choices[command]
-    actions = {a.dest: a for a in target._actions
-               if a.dest not in ("help", "command", "config")}
-    unknown = set(payload) - set(actions)
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
     for key, value in payload.items():
-        action = actions[key]
-        if action.nargs == 0:  # a switch such as --directed
-            if not isinstance(value, bool):
-                raise ParameterError(f"config key {key!r} takes true or false, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif not isinstance(value, (str, int, float)):
             raise ParameterError(f"config key {key!r} takes a string or a number, got {value!r}")
-        else:
-            payload[key] = target._get_values(action, [str(value)])
-        action.required = False
-    target.set_defaults(**payload)
+        elif value is not False:
+            flags.append(f"{flag}={value}")
+    return payload, flags
 
 
 def _warn(message: str) -> None:
@@ -144,18 +135,6 @@ def _non_negative_int(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
-
-
-def _read_signal_column(path):
-    values = {}
-    for lineno, (node, value) in _csv_rows(path, ("node_id", "value"), (int, float)):
-        if node in values:
-            raise CsvParseError(f"duplicate node_id {node}", line=lineno)
-        values[node] = value
-    n = max(values) + 1 if values else 0
-    if sorted(values) != list(range(n)):
-        raise CsvParseError("node ids must cover 0..n-1")
-    return np.array([values[i] for i in range(n)])
 
 
 def _write_signal_column(path, values):
@@ -169,21 +148,14 @@ def _write_signal_column(path, values):
     _atomic_writer(path, write)
 
 
-def _read_response_csv(path):
-    rows = _csv_rows(path, ("re", "im"), (float, float))
-    return np.array([complex(re, im) for _, (re, im) in rows])
-
-
 def _resolve_grid(args):
     if args.grid == "uniform-real":
         return uniform_real_grid(args.grid_size)
     if args.grid == "complex-disc":
         return complex_disc_grid(args.grid_size)
-    if args.grid == "graph-spectrum":
-        if not args.graph:
-            raise ParameterError("--grid graph-spectrum requires --graph")
-        return spectrum_grid(eigenvalues(_load_operator(args)))
-    raise ParameterError(f"unknown grid {args.grid!r}")
+    if not args.graph:  # graph-spectrum: the grid's choices allow no other
+        raise ParameterError("--grid graph-spectrum requires --graph")
+    return spectrum_grid(eigenvalues(_load_operator(args)))
 
 
 def _resolve_response(spec: str, grid):
@@ -196,7 +168,8 @@ def _resolve_response(spec: str, grid):
             raise ParameterError(f"lowpass cutoff is not a number: {exc}") from exc
         return ideal_lowpass(grid, cutoff)
     if spec.startswith("file:"):
-        h = _read_response_csv(spec.split(":", 1)[1])
+        rows = _csv_rows(spec.split(":", 1)[1], ("re", "im"), (float, float))
+        h = np.array([complex(re, im) for _, (re, im) in rows])
         if len(h) != grid.n:
             raise DimensionError(f"response has {len(h)} rows, grid has {grid.n}")
         validate_conjugate_pairs(h, grid)
@@ -290,7 +263,7 @@ def _cmd_design(args) -> int:
 def _cmd_apply(args) -> int:
     op = _load_operator(args)
     filt = _load_filter(args.filter)
-    x = _read_signal_column(args.input)
+    x = read_id_table(args.input, ("node_id", "value"))[:, 0]
     if x.shape != (op.n,):
         raise DimensionError(f"signal has {len(x)} values, graph has {op.n} nodes")
     if isinstance(filt, ArmaFilter):
@@ -320,29 +293,17 @@ def _cmd_experiment(args) -> int:
     if not k_values and args.kind != "interpolation":
         raise ParameterError(f"empty order range: --k-min {args.k_min} > --k-max {args.k_max}")
     if args.kind == "universal":
-        report = experiments.universal_study(
-            grid_kind=args.grid,
-            n_points=args.grid_size,
-            k_values=list(k_values),
-            seed=args.seed,
-            er_trials=args.trials,
-        )
+        report = experiments.universal_study(grid_kind=args.grid, n_points=args.grid_size,
+                                             k_values=list(k_values), seed=args.seed,
+                                             er_trials=args.trials)
     elif args.kind == "interpolation":
         report = experiments.interpolation_study(trials=args.trials, seed=args.seed)
     elif args.kind == "compression":
-        report = experiments.compression_study(
-            k_values=k_values,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    elif args.kind == "prediction":
-        report = experiments.prediction_study(
-            k_values=k_values,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    else:
-        raise ParameterError(f"unknown experiment {args.kind!r}")
+        report = experiments.compression_study(k_values=k_values, trials=args.trials,
+                                               seed=args.seed)
+    else:  # prediction: the kind's choices allow no other
+        report = experiments.prediction_study(k_values=k_values, trials=args.trials,
+                                              seed=args.seed)
     _atomic_writer(args.output, report.to_csv)
     return EXIT_OK
 
@@ -352,14 +313,17 @@ def _echo_config(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # main reports a bad flag value as a parse error
     parser = argparse.ArgumentParser(
         prog="graphfilt",
         description="Design and apply ARMA/FIR graph filters.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = dict(parents=[_config_parser()], exit_on_error=False)
 
-    g = sub.add_parser("gen-graph", help="generate or ingest a graph, write JSON")
-    g.add_argument("--config", help="JSON config file with flag defaults")
+    g = sub.add_parser("gen-graph", help="generate or ingest a graph, write JSON",
+                       **common)
     g.add_argument("--er", action="store_true", help="Erdos-Renyi random graph")
     g.add_argument("--n", type=int, help="node count for --er")
     g.add_argument("--p", type=float, help="link probability for --er")
@@ -372,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", required=True, help="output graph JSON path")
     g.set_defaults(func=_cmd_gen_graph)
 
-    d = sub.add_parser("design", help="design a filter against a frequency grid")
-    d.add_argument("--config", help="JSON config file with flag defaults")
+    d = sub.add_parser("design", help="design a filter against a frequency grid", **common)
     d.add_argument("--method", required=True, choices=("fir",) + METHODS)
     d.add_argument("--grid", required=True,
                    choices=("uniform-real", "complex-disc", "graph-spectrum"))
@@ -392,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--report", help="optional design report JSON path")
     d.set_defaults(func=_cmd_design)
 
-    a = sub.add_parser("apply", help="apply a filter file to a signal file")
-    a.add_argument("--config", help="JSON config file with flag defaults")
+    a = sub.add_parser("apply", help="apply a filter file to a signal file", **common)
     a.add_argument("--filter", required=True, help="filter JSON path")
     a.add_argument("--graph", required=True, help="graph JSON path")
     a.add_argument("--shift", choices=sorted(_SHIFT_KINDS), default="laplacian")
@@ -405,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-o", "--output", required=True, help="output signal CSV path")
     a.set_defaults(func=_cmd_apply)
 
-    e = sub.add_parser("experiment", help="run a seeded experiment sweep")
-    e.add_argument("--config", help="JSON config file with flag defaults")
+    e = sub.add_parser("experiment", help="run a seeded experiment sweep", **common)
     e.add_argument("kind", choices=("universal", "interpolation", "compression", "prediction"))
     e.add_argument("--grid", default="uniform-real",
                    choices=("uniform-real", "complex-disc", "er-spectrum"))
@@ -418,18 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=_non_negative_int, default=0)
     e.add_argument("-o", "--output", required=True, help="output report CSV path")
     e.set_defaults(func=_cmd_experiment)
-
-    for each in (parser, *sub.choices.values()):
-        each.exit_on_error = False  # main reports a bad flag value as a parse error
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        payload, flags = _config_flags(argv)
+        # config flags go right after the command, so later flags win
+        args, extra = build_parser().parse_known_args(argv[:1] + flags + argv[1:])
+        # a key argparse took as an abbreviation names no setting either
+        settings = vars(args)
+        bad = [key for key, value in payload.items() if key not in settings
+               or isinstance(value, bool) != isinstance(settings[key], bool)]
+        if bad:
+            raise ParameterError(f"config keys that set no flag, or give true or false "
+                                 f"to a flag that takes a value: {bad}")
+        if extra:
+            raise ParameterError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (argparse.ArgumentError, GraphFiltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,13 +178,13 @@ class _Target:
     and w_i for a real frequency. For real coefficients the error at j is
     the conjugate of the error at i, so every weighted norm, and with it
     every least-squares solve and score, is the full grid's. In a pass loop,
-    h, h_norm, abs_h and weights may instead stack the targets of the loop's
-    runs, one row each.
+    h, h_norm, abs_h and weights stack the targets of the loop's runs, one
+    row each (_Target.rows).
     """
 
     lam: np.ndarray
     h: np.ndarray
-    weights: np.ndarray | None  # (N,), or one row per run in a stack
+    weights: np.ndarray | None  # (N,), or (runs, N) in a stack
     h_norm: float | np.ndarray  # ||w * h||
     abs_h: np.ndarray | None  # |h| when the error is scored on magnitudes
 
@@ -216,29 +216,20 @@ class _Target:
 
     @classmethod
     def rows(cls, targets) -> _Target:
-        """The targets of several runs, one row each, or the one target
-        they all share. They must share the grid and the mode. The weights
-        stay one vector when every target holds the same one (or None), and
-        are stacked as rows like h otherwise, a run without weights getting
-        a row of ones, which multiplies to the same bits as no weights."""
-        first = targets[0]
-        if all(t is first for t in targets):
-            return first
-        weights = first.weights
-        if any(t.weights is not weights for t in targets):
+        """The targets of several runs, one row each. They must share the
+        grid and the mode. The weights are None when no target has any, and
+        stacked as rows like h otherwise, a run without weights getting a
+        row of ones, which multiplies to the same bits as no weights."""
+        weights = None
+        if any(t.weights is not None for t in targets):
             weights = np.stack([t.weight_vector for t in targets])
-        return cls(first.lam, np.stack([t.h for t in targets]), weights,
-                   np.array([t.h_norm for t in targets]),
-                   None if first.abs_h is None else np.stack([t.abs_h for t in targets]))
+        abs_h = None if targets[0].abs_h is None else np.stack([t.abs_h for t in targets])
+        return cls(targets[0].lam, np.stack([t.h for t in targets]), weights,
+                   np.array([t.h_norm for t in targets]), abs_h)
 
     def keep(self, rows) -> _Target:
-        if self.h.ndim == 1:
-            return self
-        weights = self.weights
-        if weights is not None and weights.ndim == 2:
-            weights = weights[rows]
-        return _Target(self.lam, self.h[rows], weights, self.h_norm[rows],
-                       None if self.abs_h is None else self.abs_h[rows])
+        return _Target(self.lam, *(None if x is None else x[rows]
+                                   for x in (self.h, self.weights, self.h_norm, self.abs_h)))
 
     def scores(self, alpha, beta):
         """True RNMSEs of the responses beta/alpha, and their weighted error vectors.
@@ -367,7 +358,7 @@ class _A0Systems:
     template[c, :k] holds [diag(h) Psi_P[:, 1:] | -Psi_b].T of problem c with
     k unknowns and target h, and zero rows follow. A solve reads the first k
     rows only. The problems share the mode of their targets; target holds
-    their targets (and weights), one row each, or the one target they share.
+    their targets (and weights), one row each.
     """
 
     template: np.ndarray
@@ -398,7 +389,7 @@ class _A0Systems:
         """Scale the filled systems by the weights (None for all ones)."""
         w = self.target.weights
         if w is not None:
-            lhs *= w[:, None, :] if w.ndim == 2 else w
+            lhs *= w[:, None, :]
             rhs *= w
 
     def finite(self, lhs, rhs) -> list:
@@ -743,14 +734,15 @@ def order_search_table(
     """best_order_search at every budget and method, keyed (method, budget).
 
     h_hat is one target of shape (N,), which gives one table, or a stack of
-    targets of shape (T, N), which gives a list of T tables. Each target is
-    validated once, and each split of the budgets is designed once per
-    method and target, whatever number of budgets it serves: one le_budget
-    search at the largest budget answers every smaller one. _table_designs
-    lists every design of every split, and each entry is the (error, ar, ma)
-    minimum over the finite designs of its method whose ar + ma its budget
-    allows, so it equals best_order_search's report: an
-    iterative split stops on its own history alone (_iterate with
+    targets of shape (T, N), which gives a list of T tables; the targets of
+    a stack must share one _Target.mode, or ParameterError is raised before
+    any design runs. Each target is validated once, and each split of the
+    budgets is designed once per method and target, whatever number of
+    budgets it serves: one le_budget search at the largest budget answers
+    every smaller one. _table_designs lists every design of every split, and
+    each entry is the (error, ar, ma) minimum over the finite designs of its
+    method whose ar + ma its budget allows, so it equals best_order_search's
+    report: an iterative split stops on its own history alone (_iterate with
     _PATIENCE), which is the same in every search that holds it.
     """
     stacked = np.ndim(h_hat) == 2
@@ -786,23 +778,24 @@ def _table_designs(problems, splits, methods, tau: int) -> list:
     maker) over every design of every split by every method; a split whose
     design fails leaves no entry for that method.
 
-    prony-ls is fitted split by split. prony-projection is the initialization
-    of each split's _Run, scored with its history[0] when the iterative passes
-    run, and the iterative runs of every split and target share one pass loop
-    (one per _Target.mode, should a table mix them). The Vandermonde columns
-    and the orthonormal bases of the numerator ranges that prony-projection
-    projects out are built once for all targets.
+    The targets must share one _Target.mode. prony-ls is fitted split by
+    split. prony-projection is the initialization of each split's _Run,
+    scored with its history[0] when the iterative passes run, and the
+    iterative runs of every split and target share one pass loop. The
+    Vandermonde columns and the orthonormal bases of the numerator ranges
+    that prony-projection projects out are built once for all targets.
     """
     targets = [_Target.of(problem) for problem in problems]
-    columns = {}
-    for target in targets:
-        columns.setdefault(target.mode, _Columns(target.lam))
+    if len({target.mode for target in targets}) > 1:
+        raise ParameterError("the targets of a search table must all be real or all "
+                             "complex, and all scored on magnitudes or none")
+    columns = _Columns(targets[0].lam) if targets else None  # a (0, N) stack has none
     designs = [[] for _ in problems]
     runs = []
     for t, (problem, target) in enumerate(zip(problems, targets)):
         for p, q in splits:
             split = problem._at_orders(p, q)
-            basis = _basis(split, p + 1, q + 1, columns[target.mode], target)
+            basis = _basis(split, p + 1, q + 1, columns, target)
             if PRONY_LS in methods:
                 try:
                     a, b, warnings = _ls_fit(split, basis)
@@ -816,11 +809,8 @@ def _table_designs(problems, splits, methods, tau: int) -> list:
                     runs.append(_Run.start(split, None, basis, t))
                 except (InstabilityError, np.linalg.LinAlgError):
                     continue
-    if ITERATIVE in methods:
-        for mode in columns:
-            same = [run for run in runs if run.basis.target.mode == mode]
-            if same:
-                _iterate(same, tau, _PATIENCE)
+    if ITERATIVE in methods and runs:
+        _iterate(runs, tau, _PATIENCE)
     for run in runs:
         found, orders = designs[run.target_index], _orders(run.problem)
         if ITERATIVE in methods and run.error is None:

@@ -241,8 +241,10 @@ class QuantizedResidual:
 
 
 def _check_bits(total_bits: int) -> None:
-    if total_bits < 3:
-        raise ParameterError(f"need a bit budget of at least 3 bits, got {total_bits}")
+    # beyond 1024 bits, r / step overflows for a peak |r| that is a power of two
+    if not 3 <= total_bits <= 1024:
+        bound = "at least 3" if total_bits < 3 else "at most 1024"
+        raise ParameterError(f"need a bit budget of {bound} bits, got {total_bits}")
 
 
 # the largest integer part a format may have: 2.0**1024 overflows a float

@@ -462,7 +462,7 @@ def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
     """Read a `src,dst,weight` edge list.
 
     Undirected input may list each edge once; the reverse orientation is
-    added automatically. Conflicting duplicate weights are rejected.
+    added automatically. Conflicting duplicates and asymmetric weights are rejected.
     """
     offset = 1 if one_based else 0
     entries = {}
@@ -478,28 +478,34 @@ def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
     n = max(max(i, j) for i, j in entries) + 1
     if not directed:
         for (i, j), w in list(entries.items()):
-            rev = entries.get((j, i))
-            if rev is None:
-                entries[(j, i)] = w
-            elif rev != w:
-                raise CsvParseError(f"asymmetric weights for undirected edge ({i},{j})")
+            entries.setdefault((j, i), w)
     pairs = sorted(entries)
     src, dst = np.array(pairs).T
-    return Graph(n, src, dst, [entries[pair] for pair in pairs], directed)
+    try:
+        return Graph(n, src, dst, [entries[pair] for pair in pairs], directed)
+    except ParameterError as exc:
+        raise CsvParseError(f"invalid edge list: {exc}") from exc
 
 
-def read_coords_csv(path, one_based: bool = False) -> np.ndarray:
-    """Read an `id,x,y` coordinate table; ids must cover 0..n-1 after offset."""
+def read_id_table(path, header, one_based: bool = False) -> np.ndarray:
+    """Read an `id,<number>...` table, such as `node_id,value` signals and
+    `id,x,y` coordinates, as an (n, len(header) - 1) array in id order. The
+    ids, less one when one_based, must cover 0..n-1 once each."""
     offset = 1 if one_based else 0
     rows = {}
-    for lineno, (idx, x, y) in _csv_rows(path, ("id", "x", "y"), (int, float, float)):
+    for lineno, (idx, *values) in _csv_rows(path, header, (int,) + (float,) * (len(header) - 1)):
         idx -= offset
         if idx in rows:
-            raise CsvParseError(f"duplicate id {idx}", line=lineno)
-        rows[idx] = (x, y)
+            raise CsvParseError(f"duplicate {header[0]} {idx}", line=lineno)
+        rows[idx] = values
     n = len(rows)
     if n == 0:
-        raise CsvParseError("coordinate table is empty")
+        raise CsvParseError(f"{','.join(header)} table is empty")
     if sorted(rows) != list(range(n)):
         raise CsvParseError(f"ids must cover 0..{n - 1} exactly")
     return np.array([rows[i] for i in range(n)], dtype=float)
+
+
+def read_coords_csv(path, one_based: bool = False) -> np.ndarray:
+    """Read an `id,x,y` coordinate table as an (n, 2) array (read_id_table)."""
+    return read_id_table(path, ("id", "x", "y"), one_based)

@@ -358,6 +358,39 @@ class TestMalformedApplyInput:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "y.csv").exists()
 
+    @pytest.mark.parametrize("table, flags", [
+        pytest.param("src,dst,weight\n0,1,1.0\n", ["--directed", "--one-based"],
+                     id="edge-negative-after-offset"),
+        pytest.param("src,dst,weight\n0,1,1.0\n0,1,2.0\n", ["--directed"],
+                     id="edge-conflicting-duplicate"),
+        pytest.param("src,dst,weight\n", ["--directed"], id="edge-list-empty"),
+        pytest.param("src,dst,weight\n0,1,1.0\n1,0,2.0\n", [],
+                     id="edge-undirected-asymmetric"),
+        pytest.param("id,x,y\n0,0.0,0.0\n1,1.0,0.0\n1,0.0,1.0\n", ["--knn", "1"],
+                     id="coords-duplicate-id"),
+        pytest.param("id,x,y\n", ["--knn", "1"], id="coords-empty"),
+    ])
+    def test_gen_graph_table_exits_with_parse_code(self, tmp_path, capsys, table, flags):
+        path = tmp_path / "table.csv"
+        path.write_text(table)
+        source = "--coords" if "--knn" in flags else "--edges"
+        out = tmp_path / "g.json"
+        code = run(["gen-graph", source, str(path), *flags, "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_signal_ids_that_skip_a_node_exit_with_parse_code(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 2, "directed": false, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
+        (tmp_path / "f.json").write_text(FIR_IDENTITY)
+        (tmp_path / "x.csv").write_text("node_id,value\n0,1.0\n2,2.0\n")
+        code = run(["apply", "--filter", str(tmp_path / "f.json"), "--graph", str(graph),
+                    "--input", str(tmp_path / "x.csv"), "-o", str(tmp_path / "y.csv")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "y.csv").exists()
+
     def test_response_row_with_one_field_exits_with_parse_code(self, tmp_path, capsys):
         response = tmp_path / "h.csv"
         response.write_text("re,im\n1.0,0.0\n1.0\n1.0,0.0\n")
@@ -542,6 +575,54 @@ class TestConfigFile:
                     "--p", "0.5", "-o", str(tmp_path / "g.json")])
         assert code == cli.EXIT_PARSE
         assert "nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param('{"grid_si": 30}', "config keys that set no flag", id="abbreviated-key"),
+        pytest.param('{"budget": false}', "config keys that set no flag",
+                     id="false-for-a-value"),
+        pytest.param('{"response": ["lowpass:1.0"]}', "config key 'response' takes a string",
+                     id="list-value"),
+    ])
+    def test_config_key_without_its_setting_rejected(self, tmp_path, capsys, config,
+                                                     message):
+        (tmp_path / "cfg.json").write_text(config)
+        out = tmp_path / "f.json"
+        code = run(["design", "--config", str(tmp_path / "cfg.json"), "--method", "iterative",
+                    "--grid", "uniform-real", "--budget", "3", "--response", "lowpass:1.0",
+                    "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and config.split('"')[1] in err
+        assert not out.exists()
+
+    def test_config_switches_and_values_parse_as_flags(self, tmp_path):
+        # true is the bare switch and false leaves it off; a value is parsed
+        # by its flag, here a negative-looking string that is no option
+        args = ["design", "--method", "iterative", "--grid", "uniform-real",
+                "--grid-size", "30", "--budget", "3"]
+        explicit = tmp_path / "a.json"
+        assert run(args + ["--le-budget", "--response", "lowpass:0.5",
+                           "-o", str(explicit), "--report", str(tmp_path / "a.rep")]) == 0
+        cfg = tmp_path / "cfg.json"
+        for switch, flags in ((True, []), (False, ["--le-budget"])):
+            out = tmp_path / f"{switch}.json"
+            cfg.write_text(json.dumps({"le_budget": switch, "response": "lowpass:0.5",
+                                       "report": str(tmp_path / f"{switch}.rep")}))
+            assert run(args + ["--config", str(cfg), *flags, "-o", str(out)]) == 0
+            assert out.read_bytes() == explicit.read_bytes()
+            assert json.loads((tmp_path / f"{switch}.rep").read_text())["config"][
+                "le_budget"] is True
+        cfg.write_text('{"seed": -1}')
+        code = run(["gen-graph", "--config", str(cfg), "--er", "--n", "10", "--p", "0.5",
+                    "-o", str(tmp_path / "g.json")])
+        assert code == cli.EXIT_PARSE
+
+    def test_leftover_token_rejected(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code = run(["gen-graph", "--er", "--n", "10", "--p", "0.5", "extra", "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: extra")
+        assert not out.exists()
 
 
 class TestExperimentCommand:

@@ -823,6 +823,11 @@ class TestSearchTable:
     """order_search_table designs each split once for all its budgets and
     methods; every entry must be best_order_search's report, bit for bit."""
 
+    def test_empty_stack_gives_no_tables(self):
+        # the compression study with no trials searches a (0, N) stack
+        grid = uniform_real_grid(10)
+        assert design.order_search_table(grid, np.zeros((0, 10)), [3], design.METHODS) == []
+
     @pytest.mark.parametrize("target", TARGETS)
     def test_one_le_budget_search_answers_every_smaller_budget(self, target):
         grid, h = TARGETS[target]()
@@ -1054,14 +1059,20 @@ class TestFusedPassLoop:
         (uniform_real_grid, 1e-12),  # real and complex arithmetic
         (complex_disc_grid, 0.0),  # scored on magnitudes and not
     ])
-    def test_targets_of_two_modes_get_a_loop_each(self, monkeypatch, make_grid, imag):
+    def test_targets_of_two_modes_are_refused(self, monkeypatch, make_grid, imag):
+        # a stack that mixes modes raises before any design runs
         grid = make_grid(40)
         h = ideal_lowpass(grid, 1.0)
         other = h + 1j * imag if imag else random_pair_symmetric(grid, np.random.default_rng(1))
-        fused = self.tables(monkeypatch, grid, np.array([h, other, h]), [5],
-                            ["iterative"], le_budget=True)
-        assert [sorted({run.target_index for run in runs}) for runs in fused] == [
-            [0, 2], [1]]
+
+        def no_design(*args, **kwargs):
+            raise AssertionError("designed for a stack of two modes")
+
+        for name in ("_ls_fit", "_projection_fit", "_iterate"):
+            monkeypatch.setattr(design, name, no_design)
+        with pytest.raises(ParameterError, match="targets of a search table"):
+            design.order_search_table(grid, np.array([h, other, h]), [5], design.METHODS,
+                                      le_budget=True)
 
     def test_constrain_b0_zero(self):
         # the prediction study's problem shape: weights and a pinned b0, here
@@ -1137,10 +1148,10 @@ class TestStallRule:
         assert len(stops) > 1
 
     def test_table_of_mixed_targets_equals_the_table_of_lone_splits(self, monkeypatch):
+        # targets of one mode: a stack that mixes modes is refused
         grid = complex_disc_grid(60)
-        targets = np.array([ideal_lowpass(grid, 1.0),
-                            random_pair_symmetric(grid, np.random.default_rng(6)),
-                            ideal_lowpass(grid, 0.6)])
+        rng = np.random.default_rng(6)
+        targets = np.array([random_pair_symmetric(grid, rng) for _ in range(3)])
         args = grid, targets, [5, 9], design.METHODS, True
         got = design.order_search_table(*args)
         iterate = design._iterate
@@ -1221,3 +1232,60 @@ class TestRunsWithTheirOwnWeights:
         fused = design._iterative_designs([(problem, None) for problem in problems], 20)
         for got, problem in zip(fused, problems):
             assert_same_report(got, iterative_design(problem, tau=20))
+
+
+class TestPassLoopSafetyNets:
+    """The pass loop's guards: a denominator value of exactly zero, a
+    reciprocal denominator that overflows, and a failed prony-ls solve. Each
+    touches its own run or split only; every other run of the same loop
+    keeps the bits it gets alone."""
+
+    @staticmethod
+    def runs():
+        problem = lowpass_problem(1, 2)
+        healthy = [design._Run.start(problem._at_orders(p, q), None)
+                   for p, q in [(1, 1), (1, 2), (2, 2), (2, 3)]]
+        # a(lambda) = 1 - lambda / 2 is exactly zero at the grid point 2
+        bad = design._Run.start(problem, ArmaFilter(a=[1.0, -0.5], b=[0.5, 0.2, 0.1]))
+        return healthy[:2] + [bad] + healthy[2:]
+
+    def fused_runs(self):
+        """The runs of one pass loop, each checked against its loop alone."""
+        fused, alone = self.runs(), self.runs()
+        design._iterate(fused, 20)
+        iterate_alone(alone, 20)
+        for got, want in zip(fused, alone):
+            assert_same_run(got, want)
+        return fused
+
+    def test_zero_denominator_is_regularized_on_its_run_alone(self, monkeypatch):
+        # with rho = 0 the denominator value at the grid point 2 is exactly 0
+        monkeypatch.setattr(design, "_RHO", 0.0)
+        runs = self.fused_runs()
+        assert ["denominator-regularized" in run.warnings for run in runs] == [
+            False, False, True, False, False]
+        assert runs[2].history[0] == np.inf and np.isfinite(runs[2].best)
+
+    def test_overflowing_reciprocal_ends_its_run_alone(self, monkeypatch):
+        # rho = 1e-310 * max|a(lambda)| = 1e-310 turns that zero subnormal, and
+        # its reciprocal overflows, so the run's first system is not finite
+        monkeypatch.setattr(design, "_RHO", 1e-310)
+        runs = self.fused_runs()
+        assert ["non-finite-iterate" in run.warnings for run in runs] == [
+            False, False, True, False, False]
+        assert runs[2].history == [np.inf] and len(runs[2].iterates) == 1
+        assert all(len(run.history) > 1 for i, run in enumerate(runs) if i != 2)
+
+    def test_failed_prony_ls_solve_drops_its_split_alone(self, monkeypatch):
+        grid = uniform_real_grid(100)
+        h = ideal_lowpass(grid, 1.0)
+        lone = {pq: prony_ls(DesignProblem(grid=grid, h_hat=h, ar_order=pq[0], ma_order=pq[1]))
+                for pq in order_candidates(5, le_budget=False)}
+        winner = design._orders(best_order_search(grid, h, 5, "prony-ls").filter)
+        failing_solve(monkeypatch, lambda problem: design._orders(problem) == winner)
+        with pytest.raises(np.linalg.LinAlgError):
+            prony_ls(DesignProblem(grid=grid, h_hat=h, ar_order=winner[0],
+                                   ma_order=winner[1]))
+        del lone[winner]
+        _, want = min(lone.items(), key=lambda item: (item[1].rnmse_true, *item[0]))
+        assert_same_report(best_order_search(grid, h, 5, "prony-ls"), want)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,25 @@ class TestPrediction:
             predict(op, np.ones(op.n), 1, 2, 2)
         with pytest.raises(ParameterError, match="bit budget of at least 3 bits, got 1"):
             prediction_study(k_values=(3,), bit_values=(3, 1), trials=1)
+
+    def test_bit_budget_above_1024_rejected_before_designing(self, monkeypatch):
+        # beyond 1024 bits r / step overflowed: at 1026 bits 0.5 came back as
+        # 1.0, and from 1076 bits every value was NaN, with only a warning
+        residual = np.array([0.5, -0.25, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(quantize_residual(residual, 1024).values, residual)
+        for bits in (1025, 1100):
+            with pytest.raises(ParameterError, match=f"at most 1024 bits, got {bits}"):
+                quantize_residual(residual, bits)
+
+        def no_design(problem, tau):
+            raise AssertionError("designed for an invalid bit budget")
+
+        monkeypatch.setattr(experiments, "iterative_design", no_design)
+        monkeypatch.setattr(experiments, "_iterative_designs", no_design)
+        with pytest.raises(ParameterError, match="at most 1024 bits, got 1025"):
+            prediction_study(k_values=(3,), bit_values=(3, 1025), trials=1)
 
     def test_candidates_without_a_quantized_residual_are_skipped(self):
         predictor = experiments._Predictor(adjacency_op())

@@ -6,9 +6,11 @@ eigendecomposition and the eigenvalue solve may densify a shift operator
 (everything else applies it through sparse shift products; the dense oracles
 live in the tests), and `fir._gelsd`, under `fir._solve_real_lstsq` and its
 stacked form, is the one caller of lstsq: the gelsd gufunc of numpy's
-private `_umath_linalg`, which no other module names.
+private `_umath_linalg`, which no other module names. The command line
+reaches argparse through its public interface only.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -80,3 +82,11 @@ def test_lstsq_called_only_by_the_real_solve():
 def test_private_linalg_named_only_in_fir():
     sites = [path.name for path in sources() if "_umath_linalg" in path.read_text()]
     assert sites == ["fir.py"], f"_umath_linalg named in {sites}; solve through fir"
+
+
+def test_cli_names_no_private_argparse_attribute():
+    private = {name for obj in (argparse, argparse.ArgumentParser(), argparse.Action(["-x"], "x"))
+               for name in dir(obj) if name.startswith("_") and not name.endswith("__")}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert named & private == set(), "parse with argparse's public interface"
