@@ -93,8 +93,17 @@ def _atomic_writer(path: str, write_fn) -> None:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises each command-line error as
+    ArgumentError, which main reports as a parse error, where argparse
+    would print usage and exit; every Python version takes this path."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _config_parser() -> argparse.ArgumentParser:
-    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config = _Parser(add_help=False)
     config.add_argument("--config", help="JSON config file of flag values")
     return config
 
@@ -264,8 +273,6 @@ def _cmd_apply(args) -> int:
     op = _load_operator(args)
     filt = _load_filter(args.filter)
     x = read_id_table(args.input, ("node_id", "value"))[:, 0]
-    if x.shape != (op.n,):
-        raise DimensionError(f"signal has {len(x)} values, graph has {op.n} nodes")
     if isinstance(filt, ArmaFilter):
         if args.solver == "direct":
             y = arma_apply_direct(filt, op, x)
@@ -313,14 +320,9 @@ def _echo_config(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # main reports a bad flag value as a parse error
-    parser = argparse.ArgumentParser(
-        prog="graphfilt",
-        description="Design and apply ARMA/FIR graph filters.",
-        exit_on_error=False,
-    )
+    parser = _Parser(prog="graphfilt", description="Design and apply ARMA/FIR graph filters.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = dict(parents=[_config_parser()], exit_on_error=False)
+    common = dict(parents=[_config_parser()])
 
     g = sub.add_parser("gen-graph", help="generate or ingest a graph, write JSON",
                        **common)

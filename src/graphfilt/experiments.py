@@ -35,15 +35,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import (
-    FirFilter,
-    _solve_real_lstsq,
-    fir_apply,
-    fir_design,
-    fir_response,
-    poly_apply,
-    vandermonde,
-)
+from .fir import fir_apply, fir_design, fir_response, poly_apply
 from .graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
@@ -78,9 +70,9 @@ _GRAPH_NEIGHBORS = 6
 _GRAPH_BOX = 3.0
 # Iterative-design passes of one prediction and of one compression candidate.
 _PREDICT_TAU = 20
-# the most matrix entries (2^18 floats, 2 MB) one stack of a(S) may hold:
-# the predictions run in batches of jobs whose _PREDICT_TAU + 1 iterates
-# fit, 12 jobs on the studies' 32-node graph
+# the predictions run in batches that share one pass loop, as many as hold
+# 2^18 a(S) entries (2 MB) at _PREDICT_TAU + 1 each: 12 on the studies'
+# 32-node graph; the pass loop and the held candidates grow with a batch
 _PREDICT_STACK_FLOATS = 2**18
 _COMPRESS_TAU = 12
 # Low-pass cutoff and ER(n, p) graphs of the universal and budgeted-CG
@@ -370,11 +362,11 @@ class _Predictor:
     """What the predictions on one operator share: its spectrum, and the
     shift powers that every a(S) of the direct solves is summed from.
 
-    Every stage runs once for all the predictions asked of it: one pass loop
-    designs them all, one stacked solve takes every forward system and one
-    every backward system, and each candidate gets the bits its own
-    design, solves and quantization give it. results runs them over batches
-    of jobs, so that memory stays bounded however many jobs there are."""
+    The predictions asked of it share one pass loop; each then solves its
+    forward systems in one stack and its backward systems, for every bit
+    budget, in another, so every candidate gets the bits its own design,
+    solves and quantization give it. results runs them over batches, so
+    that memory stays bounded however many predictions there are."""
 
     def __init__(self, op: ShiftOperator):
         self.dec = eigendecompose(op)
@@ -383,8 +375,8 @@ class _Predictor:
 
     def results(self, jobs, bit_values):
         """Yield best(candidates(...), bit_values) job by job, run over
-        batches of the jobs in which every stack of a(S) holds at most
-        _PREDICT_STACK_FLOATS entries."""
+        batches of the jobs that share one pass loop, as many as fit
+        _PREDICT_STACK_FLOATS a(S) entries at _PREDICT_TAU + 1 each."""
         size = max(1, _PREDICT_STACK_FLOATS // ((_PREDICT_TAU + 1) * self.solver.op.n**2))
         for start in range(0, len(jobs), size):
             yield from self.best(self.candidates(jobs[start:start + size]), bit_values)
@@ -406,24 +398,17 @@ class _Predictor:
             for x, ar_order, ma_order in jobs
         ]
         reports = _iterative_designs([(p, None) for p in problems], _PREDICT_TAU)
-        coeffs = [(np.array([f.a for f in rep.iterate_filters]),
-                   np.array([f.b for f in rep.iterate_filters])) for rep in reports]
-        forward, solved = self.solver.solve_each(
-            np.concatenate([self.solver.ar_matrix(a) for a, _ in coeffs]),
-            np.concatenate([self.solver.numerators(b, x) for (_, b), (x, _, _)
-                            in zip(coeffs, jobs)]),
-        )
         out = []
-        start = 0
-        for (x, _, _), report, (a, b) in zip(jobs, reports, coeffs):
-            stop = start + len(a)
-            keep = np.flatnonzero(solved[start:stop])
+        for (x, _, _), report in zip(jobs, reports):
+            a = np.array([f.a for f in report.iterate_filters])
+            b = np.array([f.b for f in report.iterate_filters])
+            forward, solved = self.solver.solve_each(
+                self.solver.ar_matrix(a), self.solver.numerators(b, x))
+            keep = np.flatnonzero(solved)
             out.append(_Candidates(
                 x=x, iterates=report.iterate_filters, index=keep, a=a[keep],
-                residual=x - forward[start:stop][keep],
-                back=_backward_coefficients(a[keep], b[keep]),
+                residual=x - forward[keep], back=_backward_coefficients(a[keep], b[keep]),
             ))
-            start = stop
         return out
 
     def best(self, candidates, bit_values) -> list:
@@ -432,31 +417,22 @@ class _Predictor:
         lowest finite RNMSE. A candidate whose residual cannot be quantized
         or whose backward system is singular is skipped; SingularSystemError
         when none is left."""
-        if not candidates or not bit_values:
+        if not bit_values:
             return [[] for _ in candidates]
-        quantized = []  # per job, per bit budget: _quantize_rows of its residuals
-        numerators = []
+        out = []
         for cands in candidates:
             found = [_quantize_rows(cands.residual, bits) for bits in bit_values]
-            quantized.append(found)
-            values = np.concatenate([v for v, _ in found])
-            z = self.solver.numerators(np.tile(cands.a, (len(bit_values), 1)), values)
-            numerators.append(z.reshape(len(bit_values), *cands.residual.shape).swapaxes(0, 1))
-        x_tilde, solved = self.solver.solve_each(
-            np.concatenate([self.solver.ar_matrix(cands.back) for cands in candidates])[:, None],
-            np.concatenate(numerators),
-        )
-        signals = np.concatenate(
-            [np.broadcast_to(cands.x, cands.residual.shape) for cands in candidates])
-        errs = _row_rnmse(x_tilde, signals[:, None])
-        out = []
-        start = 0
-        for cands, found in zip(candidates, quantized):
-            stop = start + len(cands.a)
+            z = self.solver.numerators(np.tile(cands.a, (len(bit_values), 1)),
+                                       np.concatenate([v for v, _ in found]))
+            x_tilde, solved = self.solver.solve_each(
+                self.solver.ar_matrix(cands.back)[:, None],
+                z.reshape(len(bit_values), *cands.residual.shape).swapaxes(0, 1),
+            )
+            errs = _row_rnmse(x_tilde, cands.x)
             results = []
             for b, (bits, (values, formats)) in enumerate(zip(bit_values, found)):
-                err = errs[start:stop, b]
-                usable = solved[start:stop, b] & np.isfinite(err)
+                err = errs[:, b]
+                usable = solved[:, b] & np.isfinite(err)
                 usable &= [not isinstance(f, ParameterError) for f in formats]
                 if not usable.any():
                     raise SingularSystemError(
@@ -466,7 +442,7 @@ class _Predictor:
                 idx = int(cands.index[i])
                 results.append(PredictionResult(
                     filter=cands.iterates[idx],
-                    reconstructed=x_tilde[start + i, b].copy(),
+                    reconstructed=x_tilde[i, b].copy(),
                     rnmse=float(err[i]),
                     residual=cands.residual[i].copy(),
                     quantized=QuantizedResidual(
@@ -476,7 +452,6 @@ class _Predictor:
                     iterate_index=idx,
                 ))
             out.append(results)
-            start = stop
         return out
 
 
@@ -527,16 +502,15 @@ def _compression(dec, grid, x, report: DesignReport) -> CompressionResult:
 
 def compress_fir(op: ShiftOperator, x, order: int):
     """FIR benchmark for compression: fit the spectrum with a polynomial
-    over real coefficients."""
+    over real coefficients through fir_design, which needs order + 1 graph
+    frequencies at least."""
     x = np.asarray(x, dtype=float)
     dec = eigendecompose(op)
     return _fir_compression(dec, spectrum_grid(dec), x, order)
 
 
 def _fir_compression(dec, grid, x, order: int):
-    x_hat = gft(dec, x)
-    g, _ = _solve_real_lstsq(vandermonde(grid.lambdas, order + 1), x_hat)
-    filt = FirFilter(g=g)
+    filt = fir_design(grid, gft(dec, x), order).filter
     x_tilde = igft(dec, fir_response(filt, grid)).real
     return filt, x_tilde, rnmse(x_tilde, x)
 
@@ -884,11 +858,11 @@ def prediction_study(
     """Prediction-plus-quantization error on the directed geometric graph,
     over filter orders and bit budgets.
 
-    Each (K, trial) designs once for every bit budget. The designs of all
-    (K, trial) share one pass loop, and each stage of direct solves, forward
-    and backward, is one stacked solve (_Predictor), over batches of
-    (K, trial) that keep every stack at most 2 MB, so that memory does not
-    grow with the number of trials.
+    Each (K, trial) designs once for every bit budget. The designs of a
+    batch of (K, trial) share one pass loop (_Predictor), and each (K, trial)
+    solves its forward systems in one stack and its backward systems in
+    another, each a(S) stack holding its _PREDICT_TAU + 1 iterates; batches
+    of bounded size keep memory from growing with the number of trials.
     """
     for bits in bit_values:
         _check_bits(bits)

@@ -36,13 +36,13 @@ _NILPOTENT_REL_TOL = 1e-12
 
 # Single products run in numpy until an operator has visited this many arcs
 # in them, and through scipy's compiled kernel after that. Importing
-# scipy.sparse costs about 0.3 s, and numpy's product costs 4-7.5 ns per arc
-# more than scipy's (2-core x86: 250 against 85 us at 39k arcs, 2.5 against
-# 0.58 ms at 259k), so the import pays for itself after 4e7-7e7 arc visits.
-# The switch sits at the low end, so a long solve loses at most about the
-# import cost to a run that imports scipy up front, while an apply of up to
-# ~1000 products on a 39k-arc graph never loads scipy. Both kernels give
-# bit-identical products, so the switch changes only the time.
+# scipy.sparse after numpy costs 0.15-0.17 s, and numpy's product costs
+# 4-7.5 ns per arc more than scipy's (2-core x86: 250 against 85 us at 39k
+# arcs, 2.5 against 0.58 ms at 259k), so the import pays for itself after
+# 2e7-4e7 arc visits. The switch sits at the high end, so a long solve loses
+# at most 0.16-0.3 s to a run that imports scipy up front, while an apply of
+# up to ~1000 products on a 39k-arc graph never loads scipy. Both kernels
+# give bit-identical products, so the switch changes only the time.
 _SCIPY_AFTER_ARC_VISITS = 40_000_000
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +196,31 @@ class TestDesign:
                     "--p", "1", "--q", "1", "-o", str(tmp_path / "f.json")])
         assert code == cli.EXIT_SYMMETRY
 
+    def test_file_response_writes_the_filter_of_its_spec(self, tmp_path):
+        grid = uniform_real_grid(100)
+        resp = tmp_path / "h.csv"
+        with open(resp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["re", "im"])
+            for h in ideal_lowpass(grid, 1.0):
+                writer.writerow([repr(float(h.real)), repr(float(h.imag))])
+        outs = []
+        for spec in (f"file:{resp}", "lowpass:1.0"):
+            outs.append(tmp_path / f"f{len(outs)}.json")
+            assert run(["design", "--method", "prony-ls", "--grid", "uniform-real",
+                        "--response", spec, "--p", "2", "--q", "2",
+                        "-o", str(outs[-1])]) == cli.EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_file_response_with_wrong_row_count_exits_with_dimension_code(self, tmp_path):
+        resp = tmp_path / "h.csv"
+        resp.write_text("re,im\n" + "1.0,0.0\n" * 9)
+        code = run(["design", "--method", "prony-ls", "--grid", "uniform-real",
+                    "--grid-size", "10", "--response", f"file:{resp}",
+                    "--p", "1", "--q", "1", "-o", str(tmp_path / "f.json")])
+        assert code == cli.EXIT_DIMENSION
+        assert not (tmp_path / "f.json").exists()
+
     def test_allpass_response(self, tmp_path):
         out = tmp_path / "f.json"
         code = run(["design", "--method", "prony-ls", "--grid", "complex-disc",
@@ -252,13 +278,19 @@ class TestApply:
                     "--input", str(xin), "-o", str(out)]) == 0
         assert np.allclose(read_signal(out), x)
 
-    def test_dimension_mismatch_exit_code(self, tmp_path, er_graph_file):
+    @pytest.mark.parametrize("payload, solver", [
+        pytest.param('{"type": "arma", "a": [1.0], "b": [1.0]}', "direct", id="arma-direct"),
+        pytest.param('{"type": "arma", "a": [1.0], "b": [1.0]}', "cg", id="arma-cg"),
+        pytest.param('{"type": "fir", "g": [1.0]}', "direct", id="fir"),
+    ])
+    def test_dimension_mismatch_exit_code(self, tmp_path, er_graph_file, payload, solver):
+        # each filter's own apply checks the signal length
         filt = tmp_path / "f.json"
-        filt.write_text('{"type": "arma", "a": [1.0], "b": [1.0]}')
+        filt.write_text(payload)
         xin = tmp_path / "x.csv"
         write_signal(xin, np.ones(5))
         code = run(["apply", "--filter", str(filt), "--graph", str(er_graph_file),
-                    "--input", str(xin), "-o", str(tmp_path / "y.csv")])
+                    "--input", str(xin), "--solver", solver, "-o", str(tmp_path / "y.csv")])
         assert code == cli.EXIT_DIMENSION
 
 
@@ -510,6 +542,21 @@ def test_import_leaves_experiments_unloaded(tmp_path, er_graph_file):
                for f in ("arma", "fir"))
 
 
+class TestAtomicWriter:
+    def test_failed_write_leaves_no_temp_file_and_the_old_output(self, tmp_path):
+        out = tmp_path / "y.csv"
+        out.write_text("old\n")
+
+        def write(tmp):
+            Path(tmp).write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_writer(str(out), write)
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.csv"]
+
+
 class TestErrorCodeMapping:
     def test_instability_maps_to_dedicated_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -563,10 +610,9 @@ class TestConfigFile:
     def test_required_flag_missing_from_both_still_exits(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"p": 0.3}')
-        with pytest.raises(SystemExit) as exc:
-            run(["gen-graph", "--config", str(cfg), "--er", "--n", "10"])
-        assert exc.value.code == cli.EXIT_PARSE
-        assert "-o/--output" in capsys.readouterr().err
+        assert run(["gen-graph", "--config", str(cfg), "--er", "--n", "10"]) == cli.EXIT_PARSE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "-o/--output" in line
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -368,6 +368,22 @@ class TestPrediction:
         assert got == want
         assert len(sizes) == 12 and max(sizes) <= 21
 
+    def test_each_prediction_solves_in_stacks_of_its_own(self, monkeypatch):
+        # at the default batch size the six (K, trial) share one pass loop,
+        # but each solves its forward and its backward systems on its own
+        want = prediction_study(k_values=(3, 4), bit_values=(3, 16), trials=3, seed=5)
+        sizes = []
+        solve_each = experiments._DirectSolver.solve_each
+
+        def recording(ar_matrices, z):
+            sizes.append(len(ar_matrices))
+            return solve_each(ar_matrices, z)
+
+        monkeypatch.setattr(experiments._DirectSolver, "solve_each", staticmethod(recording))
+        got = prediction_study(k_values=(3, 4), bit_values=(3, 16), trials=3, seed=5)
+        assert got == want
+        assert len(sizes) == 12 and max(sizes) <= experiments._PREDICT_TAU + 1
+
     def test_study_rows_decrease_in_bits(self):
         report = prediction_study(k_values=(3,), bit_values=(3, 7), trials=3, seed=5)
         by_bits = {r.method: r.mean for r in report.rows}
@@ -393,6 +409,15 @@ class TestCompression:
         arma_err = compress(op, x, 8).rnmse
         _, _, fir_err = compress_fir(op, x, 8)
         assert arma_err < fir_err
+
+    def test_fir_benchmark_needs_order_plus_one_frequencies(self):
+        # the fit runs through fir_design, which rejects an underdetermined
+        # order as every other FIR fit does
+        op = adjacency_op()
+        x = smooth_signal(eigendecompose(op), op.kind, np.random.default_rng(11))
+        assert compress_fir(op, x, op.n - 1)[0].order == op.n - 1
+        with pytest.raises(ParameterError, match=f"need at least {op.n + 1} grid points"):
+            compress_fir(op, x, op.n)
 
 
     def test_study_skips_a_winner_whose_denominator_vanishes(self):
