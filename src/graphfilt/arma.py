@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
 )
-from .fir import _poly_sum, _shift_powers, filter_payload, vandermonde
+from .fir import _poly_sum, _shift_powers, filter_payload, poly_apply, vandermonde
 from .graphs import ShiftOperator
 from .spectral import FrequencyGrid
 
@@ -96,45 +96,47 @@ def arma_apply_direct(filt: ArmaFilter, op: ShiftOperator, x) -> np.ndarray:
     """Exact ARMA application: pre-filter with the numerator, then solve.
 
     Builds sum a_p S^p by applying the shift polynomial to the identity,
-    O(P E n), and solves it with a partial-pivoting dense factorization; the
-    desk-scale reference oracle for the conjugate-gradient path (n capped at
-    2000).
+    O(P E n), keeping only the running power and the partial sum, and solves
+    it with a partial-pivoting dense factorization; the desk-scale reference
+    oracle for the conjugate-gradient path (n capped at 2000).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (op.n,):
         raise DimensionError(f"signal length {x.shape} does not match n={op.n}")
-    solver = _DirectSolver(op)
-    (y,), (solved,) = solver.solve_each(
-        solver.ar_matrix(filt.a), solver.numerators(filt.b[None], x))
-    if not solved:
-        raise SingularSystemError("AR polynomial matrix is singular")
-    return y
+    _check_direct_size(op)
+    ar = _poly_sum(filt.a, _shift_powers(op, np.eye(op.n)))
+    try:
+        return np.linalg.solve(ar, poly_apply(filt.b, op, x))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("AR polynomial matrix is singular") from exc
+
+
+def _check_direct_size(op: ShiftOperator) -> None:
+    if op.n > _DIRECT_SOLVE_MAX_N:
+        raise ParameterError(
+            f"direct solve capped at n={_DIRECT_SOLVE_MAX_N}; use the CG path"
+        )
 
 
 class _DirectSolver:
-    """Dense solves a(S) y = b(S) x on one operator, for many filters.
+    """The prediction study's dense solves a(S) y = b(S) x on one operator.
 
     Every a(S) is summed from the powers S^k I, computed on first need and
-    kept, with the products and order of poly_apply on the identity. The
-    stacked forms take one coefficient row per filter and give each filter
-    the bits its own call gets.
+    kept, so that experiments._Predictor's many filters share them, with the
+    products and order of poly_apply on the identity: the stacked forms take
+    one coefficient row per filter and give each filter its own call's bits.
     """
 
     def __init__(self, op: ShiftOperator):
-        if op.n > _DIRECT_SOLVE_MAX_N:
-            raise ParameterError(
-                f"direct solve capped at n={_DIRECT_SOLVE_MAX_N}; use the CG path"
-            )
+        _check_direct_size(op)
         self.op = op
         self._powers = []
         self._more = _shift_powers(op, np.eye(op.n))
 
     def ar_matrix(self, a) -> np.ndarray:
-        """sum a_p S^p as a dense matrix, or the (C, n, n) stack of them for
-        C coefficient rows a of shape (C, P + 1)."""
-        a = np.asarray(a)
-        self._powers += islice(self._more, max(a.shape[-1] - len(self._powers), 0))
-        return _poly_sum(a.T[..., None, None] if a.ndim == 2 else a, self._powers)
+        """The (C, n, n) stack of sum a_p S^p for coefficient rows a, (C, P + 1)."""
+        self._powers += islice(self._more, max(a.shape[1] - len(self._powers), 0))
+        return _poly_sum(a.T[..., None, None], self._powers)
 
     def numerators(self, b, x) -> np.ndarray:
         """b(S) x for each coefficient row of b, shape (C, Q + 1): x is one

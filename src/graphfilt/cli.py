@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -102,6 +103,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def _config_parser() -> argparse.ArgumentParser:
     config = _Parser(add_help=False)
     config.add_argument("--config", help="JSON config file of flag values")
@@ -273,20 +275,21 @@ def _cmd_apply(args) -> int:
     op = _load_operator(args)
     filt = _load_filter(args.filter)
     x = read_id_table(args.input, ("node_id", "value"))[:, 0]
-    if isinstance(filt, ArmaFilter):
-        if args.solver == "direct":
-            y = arma_apply_direct(filt, op, x)
-        else:
-            cfg = CgConfig(epsilon=args.cg_eps, max_iterations=args.cg_max_iter)
-            y, trace = arma_apply_cg(filt, op, x, cfg)
-            if not trace.converged:
-                residual = trace.residual_norms[-1] / trace.residual_norms[0]
-                _warn(f"CG did not converge in {trace.iterations} iterations: "
-                      f"relative residual {residual:.3g}, epsilon {cfg.epsilon:g}")
-            if args.trace:
-                _atomic_writer(args.trace, lambda p: trace_to_csv(trace, p))
+    arma = isinstance(filt, ArmaFilter)
+    if arma and args.solver == "cg":
+        cfg = CgConfig(epsilon=args.cg_eps, max_iterations=args.cg_max_iter)
+        y, trace = arma_apply_cg(filt, op, x, cfg)
+        if not trace.converged:
+            residual = trace.residual_norms[-1] / trace.residual_norms[0]
+            _warn(f"CG did not converge in {trace.iterations} iterations: "
+                  f"relative residual {residual:.3g}, epsilon {cfg.epsilon:g}")
+        if args.trace:
+            _atomic_writer(args.trace, lambda p: trace_to_csv(trace, p))
     else:
-        y = fir_apply(filt, op, x)
+        if args.trace:
+            _warn(f"no trace written to {args.trace}: only an ARMA filter under "
+                  f"--solver cg has a CG trace")
+        y = arma_apply_direct(filt, op, x) if arma else fir_apply(filt, op, x)
     _write_signal_column(args.output, y)
     return EXIT_OK
 
@@ -319,6 +322,7 @@ def _echo_config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphfilt", description="Design and apply ARMA/FIR graph filters.")
     sub = parser.add_subparsers(dest="command", required=True)

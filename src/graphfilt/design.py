@@ -15,7 +15,6 @@ left to truncate and DesignReport.imag_residue is always 0.0.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -77,11 +76,6 @@ def report_record(report) -> dict:
         "imag_residue": report.imag_residue,
         "warnings": list(report.warnings),
     }
-
-
-def report_to_json(report) -> str:
-    """Serialize a DesignReport (without the iterate history) to JSON."""
-    return json.dumps(report_record(report), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -683,13 +677,13 @@ def _iterative_designs(starts, tau: int) -> list:
     return reports
 
 
-def run_method(method: str, problem: DesignProblem, tau: int = 50) -> DesignReport:
+def run_method(method: str, problem: DesignProblem) -> DesignReport:
     if method == PRONY_LS:
         return prony_ls(problem)
     if method == PRONY_PROJECTION:
         return prony_projection(problem)
     if method == ITERATIVE:
-        return iterative_design(problem, tau=tau)
+        return iterative_design(problem)
     raise ParameterError(f"unknown design method {method!r}")
 
 

@@ -384,8 +384,6 @@ class _Predictor:
     def candidates(self, jobs) -> list:
         """The _Candidates of each (x, ar_order, ma_order) job. An iterate
         whose forward system is singular is left out."""
-        if not jobs:
-            return []
         problems = [
             DesignProblem(
                 grid=self.grid,
@@ -695,8 +693,6 @@ def budgeted_cg_study() -> BudgetedCgResult:
     for p in range(1, _CG_MAX_AR + 1):
         for q in range(0, budget - p + 1):
             iterations = (budget - q) // p
-            if iterations < 1:
-                continue
             for tag, filt in _budget_candidates(grid, h, p, q):
                 if not denominator_positive(filt):
                     continue

@@ -100,6 +100,9 @@ def _raise_lstsq_error(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+# one np.linalg.lstsq call per system gives the same bits but took the benchmark's
+# compression_study 84-105 ms against 59-67 ms (seed 24, one BLAS thread, 2-core
+# Xeon, numpy 2.4; medians of 5 calls, four alternating rounds)
 def _gelsd(matrices, rhs):
     """LAPACK gelsd over a stack of real systems of one shape, in one call of
     the gufunc that np.linalg.lstsq wraps, called as numpy 2's lstsq calls

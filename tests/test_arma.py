@@ -133,6 +133,20 @@ class TestApplyDirect:
         with pytest.raises(ParameterError):
             arma_apply_direct(ArmaFilter(a=[1.0], b=[1.0]), op, np.zeros(2001))
 
+    def test_size_cap_checked_before_the_identity_is_built(self, monkeypatch):
+        import scipy.sparse as sp
+
+        from graphfilt.graphs import custom_operator
+
+        op = custom_operator(sp.eye(2001, format="csr"))
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("dense identity built past the cap")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        with pytest.raises(ParameterError, match="capped at n=2000"):
+            arma_apply_direct(ArmaFilter(a=[1.0, 0.5], b=[1.0]), op, np.zeros(2001))
+
 
 class TestFilterType:
     def test_a0_must_be_one(self):

@@ -20,7 +20,7 @@ from graphfilt import (
     uniform_real_grid,
 )
 from graphfilt.arma import arma_from_json
-from graphfilt.design import best_order_search, ideal_lowpass, report_to_json
+from graphfilt.design import best_order_search, ideal_lowpass, report_record
 from graphfilt.errors import DivergenceError, InstabilityError
 from graphfilt.graphs import NORMALIZED_LAPLACIAN
 
@@ -163,7 +163,7 @@ class TestDesign:
         grid = uniform_real_grid(50)
         want = best_order_search(grid, ideal_lowpass(grid, 1.0), 5, "iterative")
         assert rep.pop("config")["budget"] == 5
-        assert rep == {**json.loads(report_to_json(want)), "ar_order": want.filter.ar_order,
+        assert rep == {**report_record(want), "ar_order": want.filter.ar_order,
                        "ma_order": want.filter.ma_order}
 
     @pytest.mark.parametrize("budget", [5, 19])
@@ -321,6 +321,49 @@ class TestApply:
             f"warning: CG did not converge in {trace.iterations} iterations: "
             f"relative residual {residual:.3g}, epsilon 0.001"
         ]
+
+    @pytest.mark.parametrize("payload, solver, traced", [
+        pytest.param('{"type": "fir", "g": [1.0, 0.5]}', "cg", False, id="fir"),
+        pytest.param('{"type": "arma", "a": [1.0, 0.3], "b": [0.5, 0.2]}', "direct", False,
+                     id="arma-direct"),
+        pytest.param('{"type": "arma", "a": [1.0, 0.3], "b": [0.5, 0.2]}', "cg", True,
+                     id="arma-cg"),
+    ])
+    def test_trace_without_a_cg_solve_warns(self, tmp_path, capsys, er_graph_file, payload,
+                                            solver, traced):
+        # only an ARMA filter under --solver cg has a trace; otherwise apply
+        # says that it wrote none, and still succeeds
+        filt, xin = tmp_path / "f.json", tmp_path / "x.csv"
+        trace, out = tmp_path / "t.csv", tmp_path / "y.csv"
+        filt.write_text(payload)
+        write_signal(xin, np.sin(np.arange(24)))
+        code = run(["apply", "--filter", str(filt), "--graph", str(er_graph_file),
+                    "--input", str(xin), "--solver", solver, "--trace", str(trace),
+                    "-o", str(out)])
+        assert code == cli.EXIT_OK
+        assert out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        if traced:
+            assert lines == []
+            assert trace.read_text().startswith("iter,residual_norm\n")
+        else:
+            assert lines == [f"warning: no trace written to {trace}: only an ARMA filter "
+                             f"under --solver cg has a CG trace"]
+            assert not trace.exists()
+
+    def test_direct_solver_past_its_cap_exits_with_parse_code(self, tmp_path, capsys):
+        graph, xin, out = tmp_path / "g.json", tmp_path / "x.csv", tmp_path / "y.csv"
+        filt = tmp_path / "f.json"
+        filt.write_text(ARMA_LOWPASS)
+        assert run(["gen-graph", "--er", "--n", "2001", "--p", "0.01", "--seed", "1",
+                    "-o", str(graph)]) == 0
+        write_signal(xin, np.ones(2001))
+        code = run(["apply", "--filter", str(filt), "--graph", str(graph),
+                    "--input", str(xin), "--solver", "direct", "-o", str(out)])
+        assert code == cli.EXIT_PARSE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: direct solve capped at n=2000")
+        assert not out.exists()
 
     def test_converged_cg_is_silent(self, tmp_path, capsys, er_graph_file):
         filt = tmp_path / "f.json"
@@ -487,6 +530,43 @@ class TestBadValues:
             code = run(argv + ["-o", str(out)])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, problem", [
+        pytest.param(["experiment", "universal", "--config", "{tmp}/bad.json"],
+                     "invalid config JSON", id="config-invalid-json"),
+        pytest.param(["design", "--method", "fir", "--k", "2", "--grid", "graph-spectrum",
+                      "--response", "allpass"], "--grid graph-spectrum requires --graph",
+                     id="spectrum-grid-without-graph"),
+        pytest.param(["design", "--method", "fir", "--k", "2", "--grid", "uniform-real",
+                      "--response", "highpass:1.0"], "unknown response spec 'highpass:1.0'",
+                     id="unknown-response"),
+        pytest.param(["apply", "--filter", "{tmp}/iir.json", "--graph", "{graph}",
+                      "--input", "{tmp}/x.csv"], "unknown filter type 'iir'",
+                     id="unknown-filter-type"),
+        pytest.param(["gen-graph", "--er", "--n", "30"], "--er requires --n and --p",
+                     id="er-without-p"),
+        pytest.param(["gen-graph", "--knn", "4"], "--knn requires --coords",
+                     id="knn-without-coords"),
+        pytest.param(["gen-graph"], "choose one of --er, --knn, --edges",
+                     id="gen-graph-without-source"),
+        pytest.param(["design", "--method", "fir", "--grid", "uniform-real",
+                      "--response", "allpass"], "--method fir requires --k",
+                     id="fir-without-k"),
+        pytest.param(["design", "--method", "iterative", "--p", "2", "--grid",
+                      "uniform-real", "--response", "allpass"],
+                     "give --budget or both --p and --q", id="arma-without-orders"),
+    ])
+    def test_error_line_names_the_problem(self, tmp_path, capsys, er_graph_file, argv,
+                                          problem):
+        (tmp_path / "bad.json").write_text("{")
+        (tmp_path / "iir.json").write_text('{"type": "iir", "a": [1.0]}')
+        write_signal(tmp_path / "x.csv", np.ones(24))
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path, graph=er_graph_file) for arg in argv]
+        assert run(argv + ["-o", str(out)]) == cli.EXIT_PARSE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and problem in line
         assert not out.exists()
 
     def test_config_value_outside_choices(self, tmp_path, capsys, er_graph_file):
