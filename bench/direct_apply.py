@@ -15,8 +15,11 @@ by a `graphfilt apply --solver direct` child of each tree, with BLAS held to
 one thread. Each child is reaped with os.wait4. On Linux a child's ru_maxrss
 starts from the high-water mark of the process it was forked from, so the
 set-up runs in a child of its own and the measuring process never imports
-numpy: the figure is then the `apply` child's own peak RSS. The runs
-alternate which tree goes first.
+numpy: the figure is then the `apply` child's own peak RSS. Both trees'
+src/graphfilt is byte-compiled first, as perfbench/run.py does, so that no
+child compiles the modules again when PYTHONDONTWRITEBYTECODE keeps Python
+from caching them. The two trees run each case in turn, --runs times,
+alternating which tree goes first.
 
 The record, stored under the key "direct_apply" of the --into JSON file,
 holds per (graph, filter) the sha256 of each tree's output CSV and every
@@ -26,6 +29,7 @@ run's peak RSS and wall time.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -125,6 +129,8 @@ def main(argv=None) -> int:
     if args.set_up:
         print(json.dumps(set_up(trees["parent"], args.set_up)))
         return 0
+    for tree in trees.values():
+        compileall.compile_dir(tree / "src" / "graphfilt", quiet=1)
     runs = {}
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,13 +139,12 @@ def main(argv=None) -> int:
                                "--into", str(args.into), *map(str, trees.values())],
                               capture_output=True, text=True, check=True)
         cases = json.loads(done.stdout.splitlines()[-1])
-        for r in range(args.runs):
-            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            for side in order:
-                for name, label, apply_argv in cases:
+        for name, label, apply_argv in cases:
+            key = f"{name}/{label}"
+            for r in range(args.runs):
+                for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
                     out = work / "y.csv"
                     run = cli(trees[side], [*apply_argv, "-o", str(out)])
-                    key = f"{name}/{label}"
                     runs.setdefault(key, {}).setdefault(side, []).append(run)
                     digests.setdefault(key, {}).setdefault(side, set()).add(
                         hashlib.sha256(out.read_bytes()).hexdigest())

@@ -8,7 +8,6 @@ automatic normal-equations fallback, recorded in the trace.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -205,8 +204,9 @@ def arma_apply_cg(filt: ArmaFilter, op: ShiftOperator, x, cfg: CgConfig):
 
 
 def trace_to_csv(trace: CgTrace, path) -> None:
+    """Write the residual history as the bytes csv.writer writes for the rows
+    [i, repr(r)] under the header `iter,residual_norm`."""
+    text = "iter,residual_norm\r\n" + "".join(
+        f"{i},{r!r}\r\n" for i, r in enumerate(trace.residual_norms))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_norm"])
-        for i, r in enumerate(trace.residual_norms):
-            writer.writerow([i, repr(r)])
+        fh.write(text)

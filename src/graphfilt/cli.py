@@ -8,7 +8,6 @@ echoes it into the report, and writes outputs atomically.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -149,14 +148,10 @@ def _non_negative_int(text: str) -> int:
 
 
 def _write_signal_column(path, values):
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "value"])
-            for i, v in enumerate(values):
-                writer.writerow([i, repr(float(v))])
-
-    _atomic_writer(path, write)
+    # the bytes csv.writer writes for the rows [i, repr(float(v))]
+    text = "node_id,value\r\n" + "".join(
+        f"{i},{v!r}\r\n" for i, v in enumerate(np.asarray(values, dtype=float).tolist()))
+    _atomic_writer(path, lambda tmp: Path(tmp).write_text(text, newline=""))
 
 
 def _resolve_grid(args):

@@ -10,6 +10,7 @@ long runs of single products go through.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,16 +35,21 @@ CUSTOM = "custom"
 # nilpotent and triggers the row-sum normalization fallback.
 _NILPOTENT_REL_TOL = 1e-12
 
-# Single products run in numpy until an operator has visited this many arcs
-# in them, and through scipy's compiled kernel after that. Importing
-# scipy.sparse after numpy costs 0.15-0.17 s, and numpy's product costs
-# 4-7.5 ns per arc more than scipy's (2-core x86: 250 against 85 us at 39k
-# arcs, 2.5 against 0.58 ms at 259k), so the import pays for itself after
-# 2e7-4e7 arc visits. The switch sits at the high end, so a long solve loses
-# at most 0.16-0.3 s to a run that imports scipy up front, while an apply of
-# up to ~1000 products on a 39k-arc graph never loads scipy. Both kernels
-# give bit-identical products, so the switch changes only the time.
-_SCIPY_AFTER_ARC_VISITS = 40_000_000
+# Single products run in numpy until an operator's numpy products have been
+# charged this many arc visits, and through scipy's compiled kernel after
+# that. A jagged product (_Jagged) costs about 0.7 ns per arc and 1.2 us per
+# slot more than scipy's csr_matvec (2-core x86, bench/study_identity.py: 0.55
+# against 0.37 ms at 259k arcs in 29 slots, 2.5 ms against 9 us for a
+# 2000-node star, whose hub row alone takes 2000 slots), and importing
+# scipy.sparse after numpy costs 0.12-0.16 s, so the import pays for itself
+# after about 2e8 arc visits. Each slot is charged as _SLOT_ARC_VISITS arcs,
+# about its 1.2 us at 0.7 ns an arc, so a graph with a hub switches to scipy
+# once its slots have cost about one import. A long solve loses at most about
+# one import to a run that imports scipy up front, while an apply of up to
+# ~2500 products on a 39k-arc graph never loads scipy. Both kernels give
+# bit-identical products, so the switch changes only the time.
+_SCIPY_AFTER_ARC_VISITS = 200_000_000
+_SLOT_ARC_VISITS = 1_500
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +157,7 @@ class ShiftOperator:
     spectral_norm: float
     norm_fallback: bool = False
     rows: np.ndarray = field(init=False, repr=False)
-    # arc visits of the numpy single-product kernel so far
+    # arc visits charged to the numpy single-product kernel so far
     _visits: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
@@ -189,13 +195,78 @@ class ShiftOperator:
         gap = float(np.max(np.abs(values - mirrored), initial=0.0))
         return gap, max(float(np.max(np.abs(values), initial=0.0)), 1.0)
 
-    def _numpy_product(self, x: np.ndarray) -> bool:
-        """Whether a product with x runs in numpy: single real signals, until
-        the operator's numpy arc visits pass the scipy switch point."""
+    @cached_property
+    def _row_layout(self) -> _Jagged:
+        """Jagged layout of S, built on the first numpy product."""
+        return _Jagged.of(self.indptr, self.indices, self.data)
+
+    @cached_property
+    def _column_layout(self) -> _Jagged:
+        """Jagged layout of S^T, built on the first numpy transposed product;
+        each column keeps its entries in storage order, as csc_matvec adds
+        them."""
+        # the entries by column, in storage order within one: distinct keys
+        # sort deterministically, and a stable sort of int32 took 3x as long
+        order = np.argsort(self.indices * np.int64(self.nnz) + np.arange(self.nnz))
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=self.n), out=indptr[1:])
+        return _Jagged.of(indptr, self.rows[order], self.data[order])
+
+    def _numpy_layout(self, x: np.ndarray, name: str):
+        """The layout (attribute name) a product with x runs on in numpy, or
+        None when it runs in scipy: single real signals run in numpy until the
+        operator's numpy products have been charged the scipy switch point."""
         if x.ndim != 1 or np.iscomplexobj(x) or self._visits >= _SCIPY_AFTER_ARC_VISITS:
-            return False
-        object.__setattr__(self, "_visits", self._visits + self.nnz)
-        return True
+            return None
+        layout = getattr(self, name)
+        object.__setattr__(self, "_visits", self._visits + layout.charge)
+        return layout
+
+
+@dataclass(frozen=True, eq=False)
+class _Jagged:
+    """Jagged-diagonal layout of CSR arrays (Saad, Iterative Methods for
+    Sparse Linear Systems, 3.4).
+
+    The rows are ordered by decreasing length, ties in row order. Slot j
+    holds the j-th entry of every row that has one: the first c rows in that
+    order, whose columns and values are gather[s:s + c] and values[s:s + c],
+    and slots[j] is (slice(0, c), slice(s, s + c)). A product adds slot
+    after slot into rows that start at +0.0, so every row adds its terms in
+    storage order from +0.0, as scipy's csr_matvec does, and gets its bits.
+    unsort[i] is the position of row i in the order.
+    """
+
+    gather: np.ndarray
+    values: np.ndarray
+    slots: tuple  # (slice of sorted rows, slice of terms) per slot
+    unsort: np.ndarray
+    charge: int  # arc visits a product is charged: its arcs and its slots
+
+    @classmethod
+    def of(cls, indptr, indices, data) -> _Jagged:
+        n = indptr.size - 1
+        lengths = np.diff(indptr)
+        order = np.argsort(-lengths, kind="stable")
+        counts = n - np.cumsum(np.bincount(lengths))[:-1]  # rows longer than j
+        starts = np.cumsum(counts) - counts
+        slot = np.repeat(np.arange(counts.size), counts)
+        entry = indptr[order[np.arange(slot.size) - starts[slot]]] + slot
+        unsort = np.empty(n, dtype=np.intp)
+        unsort[order] = np.arange(n)
+        slots = tuple((slice(0, c), slice(s, s + c))
+                      for s, c in zip(starts.tolist(), counts.tolist()))
+        # intp indices: take gathers about twice as fast as with int32
+        return cls(gather=indices[entry].astype(np.intp), values=data[entry], slots=slots,
+                   unsort=unsort, charge=slot.size + _SLOT_ARC_VISITS * counts.size)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        terms = x.astype(float, copy=False).take(self.gather)
+        terms *= self.values
+        y = np.zeros(self.unsort.size)
+        for head, span in self.slots:
+            y[head] += terms[span]
+        return y.take(self.unsort)
 
 
 def _operator(kind: str, n: int, keys, values, spectral_norm: float = 1.0,
@@ -326,7 +397,11 @@ def normalize(graph: Graph, kind: str) -> ShiftOperator:
         # (S + S^T) / 2, exactly symmetric however the products rounded; the
         # mirror entry needs no lookup, as D - A is exactly symmetric
         s = (dinv[rows] * lap) * dinv[cols] + (dinv[cols] * lap) * dinv[rows]
-        return _operator(kind, n, keys, s / 2.0)
+        op = _operator(kind, n, keys, s / 2.0)
+        # so it carries its zero symmetry gap, and is_symmetric need not
+        # coalesce and mirror the entries again
+        vars(op)["_symmetry_gap"] = (0.0, max(float(np.max(np.abs(op.data), initial=0.0)), 1.0))
+        return op
     raise ParameterError(f"unknown shift kind {kind!r}")
 
 
@@ -359,21 +434,21 @@ def _check_signals(op: ShiftOperator, x) -> np.ndarray:
 def shift_apply(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S @ x without forming dense powers; O(E) per signal column.
 
-    Each row of a single real signal's product is summed in storage order,
-    as scipy's csr_matvec does, so either kernel gives the same bits.
+    A single real signal's product runs on the jagged layout of S, which
+    gives the bits of scipy's csr_matvec, until the scipy switch point.
     """
     x = _check_signals(op, x)
-    if op._numpy_product(x):
-        return np.bincount(op.rows, weights=op.data * x.take(op.indices), minlength=op.n)
-    return op.matrix @ x
+    layout = op._numpy_layout(x, "_row_layout")
+    return op.matrix @ x if layout is None else layout.product(x)
 
 
 def shift_apply_transpose(op: ShiftOperator, x: np.ndarray) -> np.ndarray:
-    """S.T @ x, used by the normal-equations CG fallback."""
+    """S.T @ x, used by the normal-equations CG fallback; a single real
+    signal's product runs on the jagged layout of S^T, which gives the bits of
+    scipy's csc_matvec."""
     x = _check_signals(op, x)
-    if op._numpy_product(x):
-        return np.bincount(op.indices, weights=op.data * x.take(op.rows), minlength=op.n)
-    return op.matrix.T @ x
+    layout = op._numpy_layout(x, "_column_layout")
+    return op.matrix.T @ x if layout is None else layout.product(x)
 
 
 def is_symmetric(op: ShiftOperator, tol: float = 1e-12) -> bool:
@@ -413,15 +488,20 @@ def graph_from_json(text: str) -> Graph:
         raise CsvParseError(f"graph JSON node count is not an integer: {n!r}")
     if type(directed) is not bool:  # bool("false") is True
         raise CsvParseError(f"graph JSON 'directed' is not true or false: {directed!r}")
+    edges = payload["edges"]
     try:
-        table = np.array(payload["edges"])  # rows of unequal length raise here
-        if table.shape == (0,):
-            table = table.reshape(0, 3)
-        if table.ndim != 2 or table.shape[1] != 3:
+        # the fields of rows that are lists of 3, in one flat array; a field
+        # that is a list itself makes it ragged (np.array raises) or 2-D
+        if not (type(edges) is list and set(map(type, edges)) <= {list}
+                and set(map(len, edges)) <= {3}):
+            raise ValueError
+        table = np.array(list(itertools.chain.from_iterable(edges)))
+        if table.ndim != 1:
             raise ValueError
     except ValueError as exc:
         raise CsvParseError("invalid graph JSON: every edge needs 3 fields: "
                             "source, target, weight") from exc
+    table = table.reshape(-1, 3)
     if table.dtype.kind not in "iuf":  # strings, nulls and all-boolean tables
         raise CsvParseError("invalid graph JSON: edge fields must be JSON numbers")
     try:
@@ -430,32 +510,44 @@ def graph_from_json(text: str) -> Graph:
         raise CsvParseError(f"invalid graph JSON: {exc}") from exc
 
 
-def _csv_rows(path, header, parsers):
-    """(line, values) for every non-blank row of a CSV with the given header.
-
-    Field i of a row goes through parsers[i]. A wrong header, a row of the
-    wrong length, a field that does not parse and a NaN or infinite number
-    raise CsvParseError with the line number.
-    """
+def _csv_records(path, header) -> list:
+    """The records after the header of a CSV, record i on line i + 2; a
+    wrong header raises CsvParseError at line 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got is None or [h.strip() for h in got] != list(header):
             raise CsvParseError(f"expected header '{','.join(header)}'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(parsers):
-                raise CsvParseError(
-                    f"expected {len(parsers)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                values = tuple(parse(text) for parse, text in zip(parsers, row))
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno) from exc
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise CsvParseError(f"non-finite value in {','.join(row)}", line=lineno)
-            yield lineno, values
+        return list(reader)
+
+
+def _parsed_rows(records, parsers):
+    """(line, values) for every non-blank record of _csv_records.
+
+    Field i of a row goes through parsers[i]. A row of the wrong length, a
+    field that does not parse and a NaN or infinite number raise
+    CsvParseError with the line number.
+    """
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(parsers):
+            raise CsvParseError(
+                f"expected {len(parsers)} fields, got {len(row)}", line=lineno
+            )
+        try:
+            values = tuple(parse(text) for parse, text in zip(parsers, row))
+        except ValueError as exc:
+            raise CsvParseError(str(exc), line=lineno) from exc
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise CsvParseError(f"non-finite value in {','.join(row)}", line=lineno)
+        yield lineno, values
+
+
+def _csv_rows(path, header, parsers):
+    """(line, values) for every non-blank row of a CSV with the given header
+    (_csv_records, _parsed_rows)."""
+    return _parsed_rows(_csv_records(path, header), parsers)
 
 
 def read_edge_csv(path, directed: bool, one_based: bool = False) -> Graph:
@@ -492,18 +584,31 @@ def read_id_table(path, header, one_based: bool = False) -> np.ndarray:
     `id,x,y` coordinates, as an (n, len(header) - 1) array in id order. The
     ids, less one when one_based, must cover 0..n-1 once each."""
     offset = 1 if one_based else 0
-    rows = {}
-    for lineno, (idx, *values) in _csv_rows(path, header, (int,) + (float,) * (len(header) - 1)):
+    records = _csv_records(path, header)
+    rows = [row for row in records if row]
+    # whole columns at once; a table that fails any check is read again row
+    # by row below, which raises at its first bad line
+    if set(map(len, rows)) == {len(header)}:
+        ids, *columns = zip(*rows)
+        try:
+            ids = np.array(list(map(int, ids))) - offset
+            values = np.array([list(map(float, column)) for column in columns]).T
+        except ValueError:
+            pass
+        else:
+            order = np.argsort(ids)
+            if np.array_equal(ids[order], np.arange(ids.size)) and np.isfinite(values).all():
+                return values[order]
+    table = {}
+    for lineno, (idx, *values) in _parsed_rows(records, (int,) + (float,) * (len(header) - 1)):
         idx -= offset
-        if idx in rows:
+        if idx in table:
             raise CsvParseError(f"duplicate {header[0]} {idx}", line=lineno)
-        rows[idx] = values
-    n = len(rows)
+        table[idx] = values
+    n = len(table)
     if n == 0:
         raise CsvParseError(f"{','.join(header)} table is empty")
-    if sorted(rows) != list(range(n)):
-        raise CsvParseError(f"ids must cover 0..{n - 1} exactly")
-    return np.array([rows[i] for i in range(n)], dtype=float)
+    raise CsvParseError(f"ids must cover 0..{n - 1} exactly")
 
 
 def read_coords_csv(path, one_based: bool = False) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -20,9 +21,10 @@ from graphfilt import (
     uniform_real_grid,
 )
 from graphfilt.arma import arma_from_json
+from graphfilt.cg import CgTrace, trace_to_csv
 from graphfilt.design import best_order_search, ideal_lowpass, report_record
 from graphfilt.errors import DivergenceError, InstabilityError
-from graphfilt.graphs import NORMALIZED_LAPLACIAN
+from graphfilt.graphs import NORMALIZED_LAPLACIAN, read_id_table
 
 
 def run(argv):
@@ -798,3 +800,36 @@ class TestExperimentCommand:
         assert run(["experiment", "compression", "--k-min", "4", "--k-max", "8",
                     "--k-step", "4", "--trials", "4", "--seed", "12", "-o", str(out)]) == 0
         assert out.exists()
+
+
+# a negative zero, the smallest subnormal, a float repr writes with an
+# exponent, and one it writes with a trailing .0
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 3.0)
+
+
+def csv_writer_bytes(header, values) -> bytes:
+    """What csv.writer writes for the header and the rows [i, repr(v)]."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i, v in enumerate(values):
+        writer.writerow([i, repr(v)])
+    return buf.getvalue().encode()
+
+
+class TestWriters:
+    """The output writers write csv.writer's bytes, and read back exactly."""
+
+    def test_signal_column(self, tmp_path):
+        path = tmp_path / "y.csv"
+        values = np.array(EDGE_FLOATS)
+        cli._write_signal_column(str(path), values)
+        assert path.read_bytes() == csv_writer_bytes(["node_id", "value"], EDGE_FLOATS)
+        assert read_id_table(path, ("node_id", "value"))[:, 0].tobytes() == values.tobytes()
+
+    def test_cg_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace_to_csv(CgTrace(residual_norms=list(EDGE_FLOATS)), path)
+        assert path.read_bytes() == csv_writer_bytes(["iter", "residual_norm"], EDGE_FLOATS)
+        back = read_id_table(path, ("iter", "residual_norm"))[:, 0]
+        assert back.tobytes() == np.array(EDGE_FLOATS).tobytes()

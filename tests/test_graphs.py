@@ -23,11 +23,13 @@ from graphfilt import (
     shift_apply,
     symmetrize_max,
 )
+from graphfilt import graphs
 from graphfilt.errors import CsvParseError
 from graphfilt.graphs import (
     NORMALIZED_ADJACENCY,
     NORMALIZED_LAPLACIAN,
     is_symmetric,
+    read_id_table,
     shift_apply_transpose,
 )
 
@@ -235,6 +237,21 @@ class TestNormalize:
         op = normalize(g, NORMALIZED_LAPLACIAN)
         assert is_symmetric(op)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_er_graph(40, 0.3, 11), id="unit-er"),
+        pytest.param(lambda: weighted_er(60, 0.2, 4), id="weighted-er"),
+        pytest.param(lambda: Graph(4, [0, 1, 1, 2, 2, 3, 3], [1, 0, 1, 3, 2, 2, 3],
+                                   [0.5, 0.5, 2.0, 1.5, 0.25, 1.5, 3.0], directed=False),
+                     id="self-loops"),
+    ])
+    def test_laplacian_carries_its_symmetry_gap(self, make):
+        # normalize builds S exactly symmetric and says so: is_symmetric
+        # reads the gap its own computation would give
+        op = normalize(make(), NORMALIZED_LAPLACIAN)
+        assert "_symmetry_gap" in vars(op)
+        assert op._symmetry_gap[0] == 0.0
+        assert op._symmetry_gap == type(op)._symmetry_gap.func(op)
+
 
 class TestShiftApply:
     def test_identity_operator(self):
@@ -265,28 +282,97 @@ class TestShiftApply:
             shift_apply(op, np.ones(4))
 
 
-class TestProductKernels:
-    """The numpy kernels for one signal give the bits of scipy's CSR products."""
+def sparse_pattern_operator():
+    """6 x 6: row 0 holds every entry, row 2 only a self-loop, rows 1 and 4
+    are empty, and columns 1 and 4 hold only row 0's entries."""
+    m = np.zeros((6, 6))
+    m[0] = [0.5, -1.25, 2.0, 3.5, -0.75, 1.5]
+    m[2, 2] = 4.0
+    m[3, [0, 3, 5]] = [1.0, -2.0, 0.25]
+    m[5, [2, 3]] = [-3.0, 0.125]
+    return custom_operator(m)
 
-    @pytest.mark.parametrize("make, kind", [
-        pytest.param(lambda: build_er_graph(300, 0.05, 1), NORMALIZED_LAPLACIAN,
+
+class TestProductKernels:
+    """The jagged-diagonal kernels for one signal give the bits of scipy's
+    csr_matvec, and of csc_matvec for S^T."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: normalize(build_er_graph(300, 0.05, 1), NORMALIZED_LAPLACIAN),
                      id="unit-er-laplacian"),
-        pytest.param(lambda: weighted_er(300, 0.05, 1), NORMALIZED_LAPLACIAN,
+        pytest.param(lambda: normalize(weighted_er(300, 0.05, 1), NORMALIZED_LAPLACIAN),
                      id="weighted-er-laplacian"),
-        pytest.param(lambda: directed_knn(200, 6, 3), NORMALIZED_ADJACENCY,
+        # weighted and directed
+        pytest.param(lambda: normalize(directed_knn(200, 6, 3), NORMALIZED_ADJACENCY),
                      id="knn-adjacency"),
         # node 3 has an in-arc but no out-arc: row 3 is empty
-        pytest.param(lambda: graph_from_rows(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5),
-                                               (2, 3, 1.5)), directed=True),
-                     NORMALIZED_ADJACENCY, id="empty-row"),
+        pytest.param(lambda: normalize(graph_from_rows(
+            4, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 1.5)), directed=True),
+            NORMALIZED_ADJACENCY), id="empty-row"),
+        pytest.param(sparse_pattern_operator, id="empty-rows-and-columns-full-row-self-loop"),
+        # row 0 stores column 2 twice and its columns out of order, as a
+        # non-canonical scipy CSR matrix may
+        pytest.param(lambda: custom_operator(sp.csr_array(
+            (np.array([1e16, 1.0, 3.0, -1e16, 2.0, 0.5]), np.array([2, 0, 1, 2, 0, 1]),
+             np.array([0, 4, 4, 6])), shape=(3, 3))), id="duplicate-and-unsorted-entries"),
+        pytest.param(lambda: custom_operator([[0.5]]), id="n-1"),
+        pytest.param(lambda: custom_operator([[0.0]]), id="n-1-empty"),
+        pytest.param(lambda: custom_operator(np.zeros((3, 3))), id="no-entries"),
     ])
-    def test_bit_identical_to_scipy(self, make, kind):
-        op = normalize(make(), kind)
+    def test_bit_identical_to_scipy(self, make):
+        op = make()
         x = np.random.default_rng(0).standard_normal(op.n)
         y, yt = shift_apply(op, x), shift_apply_transpose(op, x)
         assert "matrix" not in vars(op), "the products ran on scipy"
-        assert np.array_equal(y, op.matrix @ x)
-        assert np.array_equal(yt, op.matrix.T @ x)
+        assert y.tobytes() == (op.matrix @ x).tobytes()
+        assert yt.tobytes() == (op.matrix.T @ x).tobytes()
+
+    @pytest.mark.parametrize("x", [
+        pytest.param([-0.0, -0.0, -0.0, -0.0, -0.0, -0.0], id="negative-zeros"),
+        pytest.param([1.0, -0.0, 0.5, 0.0, -0.0, 0.0], id="mixed-zeros"),
+        pytest.param([4.0, 1.0, -0.5, 0.5, -8.0, 1e-300], id="cancelling"),
+    ])
+    def test_rows_start_from_positive_zero(self, x):
+        # the terms of a row or column that all are -0.0 sum to +0.0 from the
+        # +0.0 start csr_matvec gives every row
+        op = sparse_pattern_operator()
+        x = np.array(x)
+        y, yt = shift_apply(op, x), shift_apply_transpose(op, x)
+        assert "matrix" not in vars(op)
+        assert y.tobytes() == (op.matrix @ x).tobytes()
+        assert yt.tobytes() == (op.matrix.T @ x).tobytes()
+        if not np.any(x):
+            assert not np.signbit(y).any() and not np.signbit(yt).any()
+
+    def test_layouts_built_once_and_never_for_blocks(self, monkeypatch):
+        built = []
+        of = graphs._Jagged.of
+        monkeypatch.setattr(graphs._Jagged, "of",
+                            classmethod(lambda cls, *a: built.append(1) or of(*a)))
+        op = normalize(directed_knn(60, 5, 2), NORMALIZED_ADJACENCY)
+        block = np.random.default_rng(1).standard_normal((op.n, 3))
+        assert shift_apply(op, block).shape == shift_apply_transpose(op, block).shape
+        shift_apply(op, block[:, 0] + 1j)
+        assert built == []
+        for column in block.T:
+            shift_apply(op, column)
+        assert len(built) == 1
+        for column in block.T:
+            shift_apply_transpose(op, column)
+        assert len(built) == 2
+        assert {"_row_layout", "_column_layout"} <= set(vars(op))
+
+    def test_products_are_charged_their_arcs_and_slots(self):
+        # a star's hub row takes one slot per entry: its slots are charged,
+        # so its products switch to scipy long before its arcs alone would
+        n = 50
+        spokes = np.arange(1, n)
+        star = Graph(n, np.r_[np.zeros(n - 1), spokes], np.r_[spokes, np.zeros(n - 1)],
+                     np.ones(2 * (n - 1)), directed=False)
+        op = normalize(star, NORMALIZED_LAPLACIAN)
+        shift_apply(op, np.ones(n))
+        assert len(op._row_layout.slots) == n
+        assert op._visits == op.nnz + graphs._SLOT_ARC_VISITS * n
 
 
 class TestSymmetry:
@@ -368,6 +454,46 @@ class TestFileFormats:
         with pytest.raises(CsvParseError):
             graph_from_json(text)
 
+    FIELDS = "every edge needs 3 fields"
+    NUMBERS = "edge fields must be JSON numbers"
+
+    @pytest.mark.parametrize("edges, outcome", [
+        # a row that nests its fields one level deeper is no edge, though its
+        # fields flattened would make one
+        pytest.param([[[0], [1], [2]]], FIELDS, id="nested-row"),
+        pytest.param([[[0], [1], [2]], [[1], [0], [2]]], FIELDS, id="nested-rows"),
+        pytest.param([[[0, 1, 2], [1, 0, 2], [0, 1, 2]]], FIELDS, id="row-of-rows"),
+        pytest.param([[0, 1, [2]], [1, 0, 2]], FIELDS, id="list-field"),
+        pytest.param(["012", "102"], FIELDS, id="string-rows"),
+        pytest.param([[0, 1, 2.0], "102"], FIELDS, id="string-row-among-rows"),
+        pytest.param([{"s": 0, "t": 1, "w": 2}], FIELDS, id="object-row"),
+        pytest.param([[0, 1, 2.0, 3.0], [1, 0, 2.0, 3.0]], FIELDS, id="four-fields"),
+        pytest.param({}, FIELDS, id="edges-object"),
+        pytest.param(None, FIELDS, id="edges-null"),
+        pytest.param("012", FIELDS, id="edges-string"),
+        pytest.param(3, FIELDS, id="edges-number"),
+        pytest.param([[0, 1, "x"], [1, 0]], FIELDS, id="string-field-and-short-row"),
+        pytest.param([[0, 1, "x"], [1, 0, 1.0]], NUMBERS, id="string-field"),
+        pytest.param([[0, None, 1.0], [1, 0, 1.0]], NUMBERS, id="null-index"),
+        pytest.param([[None, None, None]], NUMBERS, id="all-null"),
+        pytest.param([[0, 1, {}], [1, 0, 1.0]], NUMBERS, id="object-field"),
+        pytest.param([[False, True, True], [True, False, True]], NUMBERS, id="all-bool"),
+        pytest.param([[0, 1, True], [1, 0, 1.0]], ((0, 1, 1.0), (1, 0, 1.0)),
+                     id="bool-weight"),
+        pytest.param([[0, True, 2], [True, 0, 2]], ((0, 1, 2.0), (1, 0, 2.0)),
+                     id="bool-index"),
+        pytest.param([[0.0, 1.0, 2], [1, 0, 2]], ((0, 1, 2.0), (1, 0, 2.0)),
+                     id="integral-float-index"),
+        pytest.param([], (), id="no-edges"),
+    ])
+    def test_json_edge_table(self, edges, outcome):
+        text = json.dumps({"n": 2, "directed": False, "edges": edges})
+        if isinstance(outcome, str):
+            with pytest.raises(CsvParseError, match=f"^invalid graph JSON: {outcome}"):
+                graph_from_json(text)
+        else:
+            assert arc_rows(graph_from_json(text)) == outcome
+
     def test_edge_csv_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\n0,1,2.5\n1,2,1.0\n")
@@ -407,3 +533,67 @@ class TestFileFormats:
         path.write_text("id,x,y\n0,0.0,0.0\n2,1.0,2.0\n")
         with pytest.raises(CsvParseError):
             read_coords_csv(path)
+
+
+class TestIdTable:
+    """read_id_table's results, and its errors with their line numbers."""
+
+    @staticmethod
+    def read(tmp_path, body, one_based=False):
+        path = tmp_path / "table.csv"
+        path.write_text("node_id,value\n" + body)
+        return read_id_table(path, ("node_id", "value"), one_based)
+
+    @pytest.mark.parametrize("body, one_based, values", [
+        pytest.param("1,2.0\n0,1.0\n", False, [1.0, 2.0], id="any-row-order"),
+        pytest.param("0,1.0\n\n1,2.0\n\n", False, [1.0, 2.0], id="blank-lines"),
+        pytest.param("2,6.0\n1,5.0\n", True, [5.0, 6.0], id="one-based"),
+        pytest.param(" 0 , 1.5 \n1,-2\n", False, [1.5, -2.0], id="padded-fields"),
+    ])
+    def test_reads_in_id_order(self, tmp_path, body, one_based, values):
+        table = self.read(tmp_path, body, one_based)
+        assert table.dtype == float and table.shape == (len(values), 1)
+        assert table[:, 0].tolist() == values
+
+    @pytest.mark.parametrize("body, one_based, message, line", [
+        pytest.param("0,1.0\n1,2.0\n0,3.0\n", False, "duplicate node_id 0", 4,
+                     id="duplicate-id"),
+        pytest.param("1,5.0\n1,6.0\n", True, "duplicate node_id 0", 3,
+                     id="duplicate-id-one-based"),
+        pytest.param("0,1.0\n0,2.0\n1\n", False, "duplicate node_id 0", 3,
+                     id="duplicate-before-short-row"),
+        pytest.param("0\n0,1.0\n0,1.0\n", False, "expected 2 fields, got 1", 2,
+                     id="short-row-before-duplicate"),
+        pytest.param("0,1.0,2.0\n1,2.0\n", False, "expected 2 fields, got 3", 2,
+                     id="long-row"),
+        pytest.param("0,1.0\n\n\n1,2.0,3.0\n", False, "expected 2 fields, got 3", 5,
+                     id="blank-lines-count"),
+        pytest.param("0,1.0\n1,inf\n", False, "non-finite value in 1,inf", 3,
+                     id="infinite"),
+        pytest.param("0,nan\n1,x\n", False, "non-finite value in 0,nan", 2,
+                     id="nan-before-bad-number"),
+        pytest.param("0,1.0\n\n1,x\n", False, "could not convert string to float: 'x'", 4,
+                     id="bad-number"),
+        pytest.param("x,1.0\n", False, "invalid literal for int() with base 10: 'x'", 2,
+                     id="bad-id"),
+        pytest.param("0,1.0\n1.0,2.0\n", False,
+                     "invalid literal for int() with base 10: '1.0'", 3, id="float-id"),
+        pytest.param("0,1.0\n2,2.0\n", False, "ids must cover 0..1 exactly", None,
+                     id="missing-id"),
+        pytest.param("0,5.0\n1,6.0\n", True, "ids must cover 0..1 exactly", None,
+                     id="zero-id-one-based"),
+        pytest.param("", False, "node_id,value table is empty", None, id="empty"),
+        pytest.param("\n\n", False, "node_id,value table is empty", None, id="only-blank"),
+    ])
+    def test_errors_name_the_first_bad_line(self, tmp_path, body, one_based, message, line):
+        with pytest.raises(CsvParseError) as err:
+            self.read(tmp_path, body, one_based)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_header_checked_first(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("id,value\n0,1.0\n")
+        with pytest.raises(CsvParseError) as err:
+            read_id_table(path, ("node_id", "value"))
+        assert err.value.line == 1
